@@ -43,13 +43,28 @@ let flag_value name =
   !v
 
 (* --json PATH overrides the artifact destination; --smoke alone writes
-   the CI artifact BENCH_0007.json next to the working directory. *)
+   bench-out/BENCH_smoke.json, outside the committed BENCH_NNNN.json
+   baselines so a run can never overwrite the file it is compared to. *)
+let smoke_default = Filename.concat "bench-out" "BENCH_smoke.json"
+
 let json_path =
   match flag_value "--json" with
   | Some _ as p -> p
-  | None -> if smoke then Some "BENCH_0007.json" else None
+  | None -> if smoke then Some smoke_default else None
 
 let baseline_path = flag_value "--baseline"
+
+(* Writing the artifact over the baseline would compare the next run
+   with itself; refuse before measuring anything. *)
+let () =
+  match (json_path, baseline_path) with
+  | Some j, Some b
+    when String.equal j b
+         || (Sys.file_exists j && Sys.file_exists b
+            && String.equal (Unix.realpath j) (Unix.realpath b)) ->
+      Printf.eprintf "--json %s is the --baseline file; write the artifact elsewhere\n" j;
+      exit 2
+  | _ -> ()
 
 (* regression threshold, percent slower-than-baseline *)
 let threshold_pct =
@@ -168,17 +183,23 @@ let structure_tests =
       ignore (Ccache_util.Indexed_heap.pop h)
     done
   in
-  let dlist_ops () =
-    let l = Ccache_util.Dlist.create () in
-    let nodes = Array.init 1000 Ccache_util.Dlist.node in
-    Array.iter (Ccache_util.Dlist.push_front l) nodes;
-    Array.iter (Ccache_util.Dlist.move_to_front l) nodes;
-    Array.iter (Ccache_util.Dlist.remove l) nodes
+  let module Sl = Ccache_util.Slot_lists in
+  let lists = Sl.create ~capacity:1000 ~lists:1 in
+  let slot_lists_ops () =
+    for k = 0 to 999 do
+      ignore (Sl.push_front lists 0 k)
+    done;
+    for k = 0 to 999 do
+      Sl.move_to_front lists 0 (Sl.find lists k)
+    done;
+    for k = 0 to 999 do
+      Sl.remove lists (Sl.find lists k)
+    done
   in
   Test.make_grouped ~name:"structures"
     [
       Test.make ~name:"indexed_heap_1k" (Staged.stage heap_ops);
-      Test.make ~name:"dlist_1k" (Staged.stage dlist_ops);
+      Test.make ~name:"slot_lists_1k" (Staged.stage slot_lists_ops);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -595,6 +616,8 @@ let write_json path =
       (J.str (if smoke then "smoke" else "full"))
       (String.concat ",\n" (List.rev_map group !recorded))
   in
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc body);
   Printf.printf "wrote OLS estimates to %s\n" path
 
@@ -691,11 +714,12 @@ let () =
   run_fused_group ();
   run_parallel_group ();
   run_substrate_group ();
-  Option.iter write_json json_path;
+  (* compare first: the baseline is read before any artifact is written *)
   let regressions =
     match baseline_path with
     | None -> 0
     | Some path -> compare_against_baseline path
   in
+  Option.iter write_json json_path;
   if Lazy.is_val pool then Pool.shutdown (Lazy.force pool);
   if regressions > 0 then exit 1

@@ -49,10 +49,13 @@ let make ?(mode = Cf.Discrete) () =
         let s = slot u in
         Cf.rate costs.(s) mode (m.(s) + offset)
       in
-      (* f'_i(m_i + 1) for every slot, refreshed when m_i moves: touch
-         needs this value on every request, and computing it live costs
-         two cost-function closure calls each time. *)
+      (* f'_i(m_i + 1) and f'_i(m_i + 2) for every slot, refreshed when
+         m_i moves: touch needs the first on every request and evict
+         both, and computing one live costs two cost-function closure
+         calls.  On an eviction the old [rate2] becomes [rate1], so
+         only the new [rate2] is computed. *)
       let rate1 = Float.Array.init n_slots (fun s -> rate s ~offset:1) in
+      let rate2 = Float.Array.init n_slots (fun s -> rate s ~offset:2) in
       (* keep the top-level entry for user-slot [s] in sync *)
       let sync_top s =
         if Heap.is_empty per_user.(s) then begin
@@ -78,9 +81,11 @@ let make ?(mode = Cf.Discrete) () =
         let raw = Heap.priority per_user.(s) (Page.id victim) in
         let delta = raw -. Float.Array.get y_off 0 +. u_off.(s) in
         Heap.remove per_user.(s) (Page.id victim);
-        let bump = rate u ~offset:2 -. rate u ~offset:1 in
+        let next_rate = Float.Array.get rate2 s in
+        let bump = next_rate -. Float.Array.get rate1 s in
         m.(s) <- m.(s) + 1;
-        Float.Array.set rate1 s (rate u ~offset:1);
+        Float.Array.set rate1 s next_rate;
+        Float.Array.set rate2 s (rate u ~offset:2);
         Float.Array.set y_off 0 (Float.Array.get y_off 0 +. delta);
         u_off.(s) <- u_off.(s) +. bump;
         (* only the owner's top entry changes: every other user's

@@ -15,107 +15,84 @@
 
 module Policy = Ccache_sim.Policy
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
+module L = Ccache_util.Slot_lists
 
-type list_id = T1 | T2 | B1 | B2
+(* list ids *)
+let t1 = 0
+let t2 = 1
+let b1 = 2
+let b2 = 3
 
 let policy =
   Policy.make ~name:"arc" (fun config ->
       let k = config.Policy.Config.k in
-      let t1 = Dlist.create () and t2 = Dlist.create () in
-      let b1 = Dlist.create () and b2 = Dlist.create () in
-      let lists = function T1 -> t1 | T2 -> t2 | B1 -> b1 | B2 -> b2 in
-      let where : list_id Page.Tbl.t = Page.Tbl.create 256 in
-      let nodes : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
-      let p = ref 0.0 (* target size of T1, in [0, k] *) in
-      let detach page =
-        match (Page.Tbl.find_opt where page, Page.Tbl.find_opt nodes page) with
-        | Some l, Some n ->
-            Dlist.remove (lists l) n;
-            Page.Tbl.remove where page;
-            Page.Tbl.remove nodes page;
-            Some l
-        | _ -> None
-      in
-      let attach_front page l =
-        let n = Dlist.node page in
-        Page.Tbl.replace nodes page n;
-        Page.Tbl.replace where page l;
-        Dlist.push_front (lists l) n
-      in
+      (* the paper's directory bound: the four lists total <= 2k *)
+      let lists = L.create ~capacity:(2 * k) ~lists:4 in
+      let len = L.length lists in
+      (* target size of T1, in [0, k]; a one-cell floatarray, where a
+         [float ref] would box a fresh float on every ghost hit *)
+      let p = Float.Array.make 1 0.0 in
       (* drop a ghost from the LRU end of B1 or B2 *)
-      let trim_ghost l =
-        match Dlist.pop_back (lists l) with
-        | Some n ->
-            let page = Dlist.value n in
-            Page.Tbl.remove where page;
-            Page.Tbl.remove nodes page
-        | None -> ()
-      in
+      let trim_ghost l = if len l > 0 then L.remove lists (L.back lists l) in
       {
         Policy.on_hit =
           (fun ~pos:_ page ->
             (* resident hit: promote to T2 MRU *)
-            ignore (detach page);
-            attach_front page T2);
+            L.move_to_front lists t2 (L.find lists (Page.pack page)));
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming ->
             (* REPLACE: prefer T1 when it exceeds the target p (with the
                paper's tie nudge toward T1 if the incoming page is a B2
                ghost), else T2 *)
-            let incoming_in_b2 = Page.Tbl.find_opt where incoming = Some B2 in
-            let t1_len = float_of_int (Dlist.length t1) in
+            let incoming_in_b2 = L.list_of lists (L.find lists (Page.pack incoming)) = b2 in
+            let t1_len = float_of_int (len t1) in
             let from_t1 =
-              (not (Dlist.is_empty t1))
-              && (t1_len > !p || (incoming_in_b2 && t1_len = !p) || Dlist.is_empty t2)
+              len t1 > 0
+              && (t1_len > Float.Array.get p 0
+                 || (incoming_in_b2 && t1_len = Float.Array.get p 0)
+                 || len t2 = 0)
             in
-            let queue = if from_t1 then t1 else t2 in
-            match Dlist.back queue with
-            | Some n -> Dlist.value n
-            | None -> invalid_arg "arc: choose_victim on empty cache");
+            Page.unpack (L.key lists (L.back lists (if from_t1 then t1 else t2))));
         on_insert =
           (fun ~pos:_ page ->
-            (match Page.Tbl.find_opt where page with
-            | Some B1 ->
-                (* recency ghost hit: grow p by max(1, |B2|/|B1|) *)
-                let d =
-                  Float.max 1.0
-                    (float_of_int (Dlist.length b2)
-                    /. float_of_int (Stdlib.max 1 (Dlist.length b1)))
-                in
-                p := Float.min (float_of_int k) (!p +. d);
-                ignore (detach page);
-                attach_front page T2
-            | Some B2 ->
-                (* frequency ghost hit: shrink p *)
-                let d =
-                  Float.max 1.0
-                    (float_of_int (Dlist.length b1)
-                    /. float_of_int (Stdlib.max 1 (Dlist.length b2)))
-                in
-                p := Float.max 0.0 (!p -. d);
-                ignore (detach page);
-                attach_front page T2
-            | Some (T1 | T2) ->
-                invalid_arg ("arc: inserting resident page " ^ Page.to_string page)
-            | None ->
-                (* brand new page goes to T1; keep |T1|+|B1| <= k and
-                   the directory total <= 2k, as in the paper's Case IV *)
-                if Dlist.length t1 + Dlist.length b1 >= k then trim_ghost B1
-                else if
-                  Dlist.length t1 + Dlist.length t2 + Dlist.length b1
-                  + Dlist.length b2
-                  >= 2 * k
-                then trim_ghost B2;
-                attach_front page T1));
+            let key = Page.pack page in
+            let s = L.find lists key in
+            let l = L.list_of lists s in
+            if l = b1 then begin
+              (* recency ghost hit: grow p by max(1, |B2|/|B1|) *)
+              let d =
+                Float.max 1.0
+                  (float_of_int (len b2) /. float_of_int (Stdlib.max 1 (len b1)))
+              in
+              Float.Array.set p 0 (Float.min (float_of_int k) (Float.Array.get p 0 +. d));
+              L.move_to_front lists t2 s
+            end
+            else if l = b2 then begin
+              (* frequency ghost hit: shrink p *)
+              let d =
+                Float.max 1.0
+                  (float_of_int (len b1) /. float_of_int (Stdlib.max 1 (len b2)))
+              in
+              Float.Array.set p 0 (Float.max 0.0 (Float.Array.get p 0 -. d));
+              L.move_to_front lists t2 s
+            end
+            else if l <> L.nil then
+              invalid_arg ("arc: inserting resident page " ^ Page.to_string page)
+            else begin
+              (* brand new page goes to T1; keep |T1|+|B1| <= k and
+                 the directory total <= 2k, as in the paper's Case IV *)
+              if len t1 + len b1 >= k then trim_ghost b1
+              else if L.size lists >= 2 * k then trim_ghost b2;
+              ignore (L.push_front lists t1 key)
+            end);
         on_evict =
           (fun ~pos:_ page ->
             (* resident page leaves the cache: its identity becomes a
                ghost in the matching history list *)
-            match detach page with
-            | Some T1 -> attach_front page B1
-            | Some T2 -> attach_front page B2
-            | Some (B1 | B2) | None ->
-                invalid_arg ("arc: evicting non-resident " ^ Page.to_string page));
+            let s = L.find lists (Page.pack page) in
+            let l = L.list_of lists s in
+            if l = t1 then L.move_to_front lists b1 s
+            else if l = t2 then L.move_to_front lists b2 s
+            else invalid_arg ("arc: evicting non-resident " ^ Page.to_string page));
       })

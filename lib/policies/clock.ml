@@ -7,50 +7,29 @@
 
 module Policy = Ccache_sim.Policy
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
-
-type entry = { page : Page.t; mutable referenced : bool }
+module L = Ccache_util.Slot_lists
 
 let policy =
-  Policy.make ~name:"clock" (fun _config ->
-      (* the Dlist front is the hand position: entries cycle from front
-         (oldest / next to examine) to back (most recently passed) *)
-      let ring = Dlist.create () in
-      let nodes : entry Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
+  Policy.make ~name:"clock" (fun config ->
+      (* the list front is the hand position: entries cycle from front
+         (oldest / next to examine) to back (most recently passed); a
+         slot's tag is its reference bit *)
+      let ring = L.create ~capacity:config.Policy.Config.k ~lists:1 in
+      (* sweep: clear bits and rotate until an unreferenced entry
+         surfaces.  Terminates within two laps. *)
+      let rec sweep () =
+        let s = L.front ring 0 in
+        if L.tag ring s = 0 then Page.unpack (L.key ring s)
+        else begin
+          L.set_tag ring s 0;
+          L.move_to_back ring 0 s;
+          sweep ()
+        end
+      in
       {
-        Policy.on_hit =
-          (fun ~pos:_ page ->
-            match Page.Tbl.find_opt nodes page with
-            | Some n -> (Dlist.value n).referenced <- true
-            | None -> invalid_arg ("clock: untracked page " ^ Page.to_string page));
+        Policy.on_hit = (fun ~pos:_ page -> L.set_tag ring (L.find ring (Page.pack page)) 1);
         wants_evict = Policy.never_evict_early;
-        choose_victim =
-          (fun ~pos:_ ~incoming:_ ->
-            (* sweep: clear bits and rotate until an unreferenced entry
-               surfaces.  Terminates within two laps. *)
-            let rec sweep () =
-              match Dlist.front ring with
-              | None -> invalid_arg "clock: choose_victim on empty cache"
-              | Some n ->
-                  let e = Dlist.value n in
-                  if e.referenced then begin
-                    e.referenced <- false;
-                    Dlist.move_to_back ring n;
-                    sweep ()
-                  end
-                  else e.page
-            in
-            sweep ());
-        on_insert =
-          (fun ~pos:_ page ->
-            let n = Dlist.node { page; referenced = false } in
-            Page.Tbl.replace nodes page n;
-            Dlist.push_back ring n);
-        on_evict =
-          (fun ~pos:_ page ->
-            match Page.Tbl.find_opt nodes page with
-            | Some n ->
-                Dlist.remove ring n;
-                Page.Tbl.remove nodes page
-            | None -> invalid_arg ("clock: untracked page " ^ Page.to_string page));
+        choose_victim = (fun ~pos:_ ~incoming:_ -> sweep ());
+        on_insert = (fun ~pos:_ page -> ignore (L.push_back ring 0 (Page.pack page)));
+        on_evict = (fun ~pos:_ page -> L.remove ring (L.find ring (Page.pack page)));
       })

@@ -3,30 +3,16 @@
 module Policy = Ccache_sim.Policy
 
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
+module L = Ccache_util.Slot_lists
 
 let policy =
-  Policy.make ~name:"fifo" (fun _config ->
-      let queue = Dlist.create () in
-      let nodes : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
+  Policy.make ~name:"fifo" (fun config ->
+      let queue = L.create ~capacity:config.Policy.Config.k ~lists:1 in
       {
         Policy.on_hit = Policy.no_hit;
         wants_evict = Policy.never_evict_early;
         choose_victim =
-          (fun ~pos:_ ~incoming:_ ->
-            match Dlist.back queue with
-            | Some n -> Dlist.value n
-            | None -> invalid_arg "fifo: choose_victim on empty cache");
-        on_insert =
-          (fun ~pos:_ page ->
-            let n = Dlist.node page in
-            Page.Tbl.replace nodes page n;
-            Dlist.push_front queue n);
-        on_evict =
-          (fun ~pos:_ page ->
-            match Page.Tbl.find_opt nodes page with
-            | Some n ->
-                Dlist.remove queue n;
-                Page.Tbl.remove nodes page
-            | None -> invalid_arg ("fifo: untracked page " ^ Page.to_string page));
+          (fun ~pos:_ ~incoming:_ -> Page.unpack (L.key queue (L.back queue 0)));
+        on_insert = (fun ~pos:_ page -> ignore (L.push_front queue 0 (Page.pack page)));
+        on_evict = (fun ~pos:_ page -> L.remove queue (L.find queue (Page.pack page)));
       })

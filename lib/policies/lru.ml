@@ -2,37 +2,22 @@
 
     The classical k-competitive policy (Sleator & Tarjan).  Cost-blind:
     ignores both users and cost functions.  O(1) per event via an
-    intrusive recency list. *)
+    intrusive recency list, most recent at the front. *)
 
 module Policy = Ccache_sim.Policy
 
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
+module L = Ccache_util.Slot_lists
 
 let policy =
-  Policy.make ~name:"lru" (fun _config ->
-      let recency = Dlist.create () in
-      let nodes : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
-      let node_of page =
-        match Page.Tbl.find_opt nodes page with
-        | Some n -> n
-        | None -> invalid_arg ("lru: untracked page " ^ Page.to_string page)
-      in
+  Policy.make ~name:"lru" (fun config ->
+      let recency = L.create ~capacity:config.Policy.Config.k ~lists:1 in
       {
-        Policy.on_hit = (fun ~pos:_ page -> Dlist.move_to_front recency (node_of page));
+        Policy.on_hit =
+          (fun ~pos:_ page -> L.move_to_front recency 0 (L.find recency (Page.pack page)));
         wants_evict = Policy.never_evict_early;
         choose_victim =
-          (fun ~pos:_ ~incoming:_ ->
-            match Dlist.back recency with
-            | Some n -> Dlist.value n
-            | None -> invalid_arg "lru: choose_victim on empty cache");
-        on_insert =
-          (fun ~pos:_ page ->
-            let n = Dlist.node page in
-            Page.Tbl.replace nodes page n;
-            Dlist.push_front recency n);
-        on_evict =
-          (fun ~pos:_ page ->
-            Dlist.remove recency (node_of page);
-            Page.Tbl.remove nodes page);
+          (fun ~pos:_ ~incoming:_ -> Page.unpack (L.key recency (L.back recency 0)));
+        on_insert = (fun ~pos:_ page -> ignore (L.push_front recency 0 (Page.pack page)));
+        on_evict = (fun ~pos:_ page -> L.remove recency (L.find recency (Page.pack page)));
       })

@@ -10,49 +10,46 @@
 module Policy = Ccache_sim.Policy
 
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
+module L = Ccache_util.Slot_lists
+
+let unmarked = 0
+let marked = 1
 
 let policy =
-  Policy.make ~name:"marking" (fun _config ->
-      (* unmarked pages in FIFO order; marked pages tracked in a set *)
-      let unmarked = Dlist.create () in
-      let nodes : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
-      let marked : unit Page.Tbl.t = Page.Tbl.create 256 in
+  Policy.make ~name:"marking" (fun config ->
+      (* list [unmarked] in FIFO order; list [marked] in mark order *)
+      let lists = L.create ~capacity:config.Policy.Config.k ~lists:2 in
       let mark page =
-        (match Page.Tbl.find_opt nodes page with
-        | Some n ->
-            Dlist.remove unmarked n;
-            Page.Tbl.remove nodes page
-        | None -> ());
-        Page.Tbl.replace marked page ()
+        let key = Page.pack page in
+        let s = L.find lists key in
+        if s = L.nil then ignore (L.push_back lists marked key)
+        else if L.list_of lists s = unmarked then L.move_to_back lists marked s
       in
+      let sorted = Array.make config.Policy.Config.k max_int in
       let new_phase () =
         (* all marks drop; marked pages become unmarked in deterministic
-           (sorted) order so phase boundaries do not depend on hash order *)
-        let pages = Page.Tbl.fold (fun p () acc -> p :: acc) marked [] in
-        Page.Tbl.reset marked;
-        List.iter
-          (fun p ->
-            let n = Dlist.node p in
-            Page.Tbl.replace nodes p n;
-            Dlist.push_back unmarked n)
-          (List.sort Page.compare pages)
+           (sorted) order so phase boundaries do not depend on mark
+           order.  Sorting in place in [sorted], padded with max_int,
+           builds no list per phase. *)
+        let n = L.length lists marked in
+        let s = ref (L.front lists marked) in
+        for i = 0 to n - 1 do
+          sorted.(i) <- L.key lists !s;
+          s := L.next lists !s
+        done;
+        Array.fill sorted n (Array.length sorted - n) max_int;
+        Array.sort Int.compare sorted;
+        for i = 0 to n - 1 do
+          L.move_to_back lists unmarked (L.find lists sorted.(i))
+        done
       in
       {
         Policy.on_hit = (fun ~pos:_ page -> mark page);
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
-            if Dlist.is_empty unmarked then new_phase ();
-            match Dlist.front unmarked with
-            | Some n -> Dlist.value n
-            | None -> invalid_arg "marking: choose_victim on empty cache");
+            if L.length lists unmarked = 0 then new_phase ();
+            Page.unpack (L.key lists (L.front lists unmarked)));
         on_insert = (fun ~pos:_ page -> mark page);
-        on_evict =
-          (fun ~pos:_ page ->
-            match Page.Tbl.find_opt nodes page with
-            | Some n ->
-                Dlist.remove unmarked n;
-                Page.Tbl.remove nodes page
-            | None -> Page.Tbl.remove marked page);
+        on_evict = (fun ~pos:_ page -> L.remove lists (L.find lists (Page.pack page)));
       })

@@ -15,7 +15,7 @@
 module Policy = Ccache_sim.Policy
 
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
+module L = Ccache_util.Slot_lists
 
 let slice_sizes ~k ~n_users ~weights =
   let weights =
@@ -60,66 +60,48 @@ let make ?weights () =
       let n_users = config.Policy.Config.n_users in
       let k = config.Policy.Config.k in
       let sizes = slice_sizes ~k ~n_users ~weights in
-      (* per-user LRU lists; the flush dummy user (id = n_users) shares
-         a zero-quota slice handled by falling back to global LRU order *)
-      let slices = Array.init (n_users + 1) (fun _ -> Dlist.create ()) in
-      let occupancy = Array.make (n_users + 1) 0 in
-      let nodes : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
+      (* one LRU list per user, most recent at the front; the flush
+         dummy user (id = n_users) shares a zero-quota slice handled by
+         falling back to global LRU order *)
+      let slices = L.create ~capacity:k ~lists:(n_users + 1) in
+      let occupancy = L.length slices in
       let slice_of page = Stdlib.min (Page.user page) n_users in
       (* the flush dummy user gets quota k so its requests displace real
          pages (via the over-quota branch) instead of each other *)
       let quota u = if u >= n_users then k else sizes.(u) in
-      let node_of page =
-        match Page.Tbl.find_opt nodes page with
-        | Some n -> n
-        | None -> invalid_arg ("static-partition: untracked " ^ Page.to_string page)
-      in
+      let lru_page u = Page.unpack (L.key slices (L.back slices u)) in
       (* victim for an incoming page of user u: u's own LRU page if u's
          slice is at quota; otherwise (u under quota but cache full,
          possible for the zero-quota dummy) the LRU page of the most
          over-quota tenant *)
       let victim_for u =
-        if occupancy.(u) >= quota u && occupancy.(u) > 0 then
-          match Dlist.back slices.(u) with
-          | Some n -> Dlist.value n
-          | None -> assert false
+        if occupancy u >= quota u && occupancy u > 0 then lru_page u
         else begin
-          let worst = ref (-1) and worst_excess = ref min_int in
-          Array.iteri
-            (fun v occ ->
-              let excess = occ - quota v in
-              if occ > 0 && excess > !worst_excess then begin
-                worst := v;
-                worst_excess := excess
-              end)
-            occupancy;
-          match Dlist.back slices.(!worst) with
-          | Some n -> Dlist.value n
-          | None -> invalid_arg "static-partition: empty cache"
+          let worst = ref L.nil and worst_excess = ref min_int in
+          for v = 0 to n_users do
+            let excess = occupancy v - quota v in
+            if occupancy v > 0 && excess > !worst_excess then begin
+              worst := v;
+              worst_excess := excess
+            end
+          done;
+          if !worst = L.nil then invalid_arg "static-partition: empty cache";
+          lru_page !worst
         end
       in
       {
         Policy.on_hit =
           (fun ~pos:_ page ->
-            Dlist.move_to_front slices.(slice_of page) (node_of page));
+            L.move_to_front slices (slice_of page) (L.find slices (Page.pack page)));
         wants_evict =
           (fun ~pos:_ ~incoming ->
             let u = slice_of incoming in
-            occupancy.(u) >= quota u && occupancy.(u) > 0);
+            occupancy u >= quota u && occupancy u > 0);
         choose_victim = (fun ~pos:_ ~incoming -> victim_for (slice_of incoming));
         on_insert =
           (fun ~pos:_ page ->
-            let u = slice_of page in
-            let n = Dlist.node page in
-            Page.Tbl.replace nodes page n;
-            Dlist.push_front slices.(u) n;
-            occupancy.(u) <- occupancy.(u) + 1);
-        on_evict =
-          (fun ~pos:_ page ->
-            let u = slice_of page in
-            Dlist.remove slices.(u) (node_of page);
-            Page.Tbl.remove nodes page;
-            occupancy.(u) <- occupancy.(u) - 1);
+            ignore (L.push_front slices (slice_of page) (Page.pack page)));
+        on_evict = (fun ~pos:_ page -> L.remove slices (L.find slices (Page.pack page)));
       })
 
 let equal_split = make ()

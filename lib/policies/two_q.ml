@@ -12,7 +12,12 @@
 
 module Policy = Ccache_sim.Policy
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
+module L = Ccache_util.Slot_lists
+
+(* list ids; A1out holds ghost identities and no cache space *)
+let a1in = 0
+let am = 1
+let a1out = 2
 
 let make ?(kin_fraction = 0.25) ?(kout_fraction = 0.5) () =
   if kin_fraction <= 0.0 || kin_fraction >= 1.0 then
@@ -22,81 +27,42 @@ let make ?(kin_fraction = 0.25) ?(kout_fraction = 0.5) () =
       let k = config.Policy.Config.k in
       let kin = Stdlib.max 1 (int_of_float (kin_fraction *. float_of_int k)) in
       let kout = Stdlib.max 1 (int_of_float (kout_fraction *. float_of_int k)) in
-      let a1in = Dlist.create () in
-      let am = Dlist.create () in
-      (* which resident queue a page is in, and its node *)
-      let where : [ `A1in | `Am ] Page.Tbl.t = Page.Tbl.create 256 in
-      let nodes : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
-      (* ghost FIFO: identities only *)
-      let a1out = Dlist.create () in
-      let ghosts : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
-      let remember_ghost page =
-        if not (Page.Tbl.mem ghosts page) then begin
-          let n = Dlist.node page in
-          Page.Tbl.replace ghosts page n;
-          Dlist.push_front a1out n;
-          if Dlist.length a1out > kout then
-            match Dlist.pop_back a1out with
-            | Some old -> Page.Tbl.remove ghosts (Dlist.value old)
-            | None -> ()
-        end
-      in
-      let node_of page =
-        match Page.Tbl.find_opt nodes page with
-        | Some n -> n
-        | None -> invalid_arg ("2q: untracked page " ^ Page.to_string page)
-      in
+      let lists = L.create ~capacity:(k + kout) ~lists:3 in
+      let len = L.length lists in
       {
         Policy.on_hit =
           (fun ~pos:_ page ->
-            match Page.Tbl.find_opt where page with
-            | Some `Am -> Dlist.move_to_front am (node_of page)
-            | Some `A1in ->
-                (* original 2Q: a hit in A1in does nothing (the queue
-                   is young by construction) *)
-                ()
-            | None -> invalid_arg ("2q: hit on untracked " ^ Page.to_string page));
+            (* original 2Q: a hit in A1in does nothing (the queue is
+               young by construction) *)
+            let s = L.find lists (Page.pack page) in
+            let l = L.list_of lists s in
+            if l = am then L.move_to_front lists am s
+            else if l <> a1in then
+              invalid_arg ("2q: hit on untracked " ^ Page.to_string page));
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
-            let from_a1in = Dlist.length a1in >= kin && not (Dlist.is_empty a1in) in
-            let queue = if from_a1in || Dlist.is_empty am then a1in else am in
-            match Dlist.back queue with
-            | Some n -> Dlist.value n
-            | None -> invalid_arg "2q: choose_victim on empty cache");
+            let from_a1in = len a1in >= kin && len a1in > 0 in
+            let queue = if from_a1in || len am = 0 then a1in else am in
+            Page.unpack (L.key lists (L.back lists queue)));
         on_insert =
           (fun ~pos:_ page ->
-            let hot = Page.Tbl.mem ghosts page in
-            if hot then begin
-              (* promoted: drop the ghost, go to Am *)
-              (match Page.Tbl.find_opt ghosts page with
-              | Some g ->
-                  Dlist.remove a1out g;
-                  Page.Tbl.remove ghosts page
-              | None -> ());
-              let n = Dlist.node page in
-              Page.Tbl.replace nodes page n;
-              Page.Tbl.replace where page `Am;
-              Dlist.push_front am n
-            end
-            else begin
-              let n = Dlist.node page in
-              Page.Tbl.replace nodes page n;
-              Page.Tbl.replace where page `A1in;
-              Dlist.push_front a1in n
-            end);
+            let key = Page.pack page in
+            let s = L.find lists key in
+            (* a remembered ghost is promoted straight to Am *)
+            if L.list_of lists s = a1out then L.move_to_front lists am s
+            else ignore (L.push_front lists a1in key));
         on_evict =
           (fun ~pos:_ page ->
-            let n = node_of page in
-            (match Page.Tbl.find_opt where page with
-            | Some `A1in ->
-                Dlist.remove a1in n;
-                (* expelled from A1in: remember the identity *)
-                remember_ghost page
-            | Some `Am -> Dlist.remove am n
-            | None -> invalid_arg ("2q: evicting untracked " ^ Page.to_string page));
-            Page.Tbl.remove nodes page;
-            Page.Tbl.remove where page);
+            let s = L.find lists (Page.pack page) in
+            let l = L.list_of lists s in
+            if l = a1in then begin
+              (* expelled from A1in: remember the identity *)
+              L.move_to_front lists a1out s;
+              if len a1out > kout then L.remove lists (L.back lists a1out)
+            end
+            else if l = am then L.remove lists s
+            else invalid_arg ("2q: evicting untracked " ^ Page.to_string page));
       })
 
 let policy = make ()

@@ -125,10 +125,11 @@ module Step = struct
     let h = Policy.instantiate policy config in
     (* The cache set keys on the packed page int directly: an
        open-addressing table with flat int arrays, no boxed keys to hash
-       and nothing allocated per request.  Capacity k+1 already gives a
-       table that never rehashes mid-trace (it is sized to twice the
-       requested capacity, and occupancy never exceeds k); asking for
-       more just spreads the hot probes over more cache lines. *)
+       and nothing allocated per request.  Capacity k+1 rounds up to
+       a power of two; the table doubles at most once mid-trace (when
+       it passes half full), after which k pages fit.  Asking for more
+       up front just spreads the hot probes over more cache lines
+       when occupancy stays low. *)
     let cached = Ccache_util.Int_tbl.create ~capacity:(k + 1) () in
     {
       policy;
@@ -150,8 +151,8 @@ module Step = struct
 
   let is_cached t page = Ccache_util.Int_tbl.mem t.cached (Page.pack page)
   let cache_add t page = Ccache_util.Int_tbl.set t.cached (Page.pack page) 1
-  let cache_remove t page =
-    ignore (Ccache_util.Int_tbl.remove t.cached (Page.pack page))
+  (* [true] iff the page was cached *)
+  let cache_remove t page = Ccache_util.Int_tbl.remove t.cached (Page.pack page)
   let occupancy t = Ccache_util.Int_tbl.length t.cached
 
   (* Event records are built inside the [Some] branches only, so runs
@@ -181,13 +182,14 @@ module Step = struct
       if occ >= t.k || (occ > 0 && h.Policy.wants_evict ~pos ~incoming:page)
       then begin
         let victim = h.Policy.choose_victim ~pos ~incoming:page in
-        if not (is_cached t victim) then
-          policy_error "%s: victim %s is not cached (pos %d)"
-            (Policy.name t.policy) (Page.to_string victim) pos;
+        (* the incoming page is never cached on a miss, so this test
+           must come first for its message to be reachable *)
         if Page.equal victim page then
           policy_error "%s: victim equals incoming page %s (pos %d)"
             (Policy.name t.policy) (Page.to_string page) pos;
-        cache_remove t victim;
+        if not (cache_remove t victim) then
+          policy_error "%s: victim %s is not cached (pos %d)"
+            (Policy.name t.policy) (Page.to_string victim) pos;
         t.evictions_per_user.(Page.user victim) <-
           t.evictions_per_user.(Page.user victim) + 1;
         h.Policy.on_evict ~pos victim;
@@ -231,10 +233,9 @@ module Step = struct
           let pos = n + step in
           let dummy = Page.make ~user:t.real_users ~id:step in
           let victim = t.h.Policy.choose_victim ~pos ~incoming:dummy in
-          if not (is_cached t victim) then
+          if not (cache_remove t victim) then
             policy_error "%s: flush victim %s is not cached"
               (Policy.name t.policy) (Page.to_string victim);
-          cache_remove t victim;
           t.evictions_per_user.(Page.user victim) <-
             t.evictions_per_user.(Page.user victim) + 1;
           t.h.Policy.on_evict ~pos victim;

@@ -19,8 +19,10 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [create ~capacity ()] sizes the table for at least [capacity]
-    entries without growing (rounded up to a power of two, minimum 8). *)
+(** [create ~capacity ()] allocates [capacity] slots (rounded up to a
+    power of two, minimum 8).  The table doubles once more than half
+    the slots are taken, so it holds [capacity / 2] entries without
+    growing. *)
 
 val length : t -> int
 

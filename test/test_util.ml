@@ -3,7 +3,7 @@
 module Prng = Ccache_util.Prng
 module Stats = Ccache_util.Stats
 module Fc = Ccache_util.Float_cmp
-module Dlist = Ccache_util.Dlist
+module Sl = Ccache_util.Slot_lists
 module Heap = Ccache_util.Indexed_heap
 module Itbl = Ccache_util.Int_tbl
 module Tbl = Ccache_util.Ascii_table
@@ -205,87 +205,181 @@ let test_float_cmp () =
   checkf "clamp" 2.0 (Fc.clamp ~lo:0.0 ~hi:2.0 5.0)
 
 (* ------------------------------------------------------------------ *)
-(* Dlist                                                               *)
+(* Slot_lists                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_dlist_basic () =
-  let l = Dlist.create () in
-  checkb "empty" true (Dlist.is_empty l);
-  let n1 = Dlist.node 1 and n2 = Dlist.node 2 and n3 = Dlist.node 3 in
-  Dlist.push_front l n1;
-  Dlist.push_front l n2;
-  Dlist.push_back l n3;
-  (* order: 2 1 3 *)
-  checkb "to_list" true (Dlist.to_list l = [ 2; 1; 3 ]);
-  checki "length" 3 (Dlist.length l);
-  Dlist.move_to_front l n3;
-  checkb "moved" true (Dlist.to_list l = [ 3; 2; 1 ]);
-  Dlist.move_to_back l n3;
-  checkb "moved back" true (Dlist.to_list l = [ 2; 1; 3 ]);
-  Dlist.remove l n1;
-  checkb "removed" true (Dlist.to_list l = [ 2; 3 ]);
-  checkb "invariant" true (Dlist.invariant_ok l);
-  (* removed node can be reinserted *)
-  Dlist.push_front l n1;
-  checkb "reinserted" true (Dlist.to_list l = [ 1; 2; 3 ])
+(* Model tests in the shape of the cachecache LRU tests: every step is
+   mirrored on a reference model (one front-to-back key list per list
+   id) and the structure's own [invariant_ok] must hold after it. *)
 
-let test_dlist_pop () =
-  let l = Dlist.create () in
-  checkb "pop empty" true (Dlist.pop_front l = None);
-  let n = Dlist.node 42 in
-  Dlist.push_back l n;
-  (match Dlist.pop_back l with
-  | Some m -> checki "popped" 42 (Dlist.value m)
-  | None -> Alcotest.fail "expected node");
-  checkb "now empty" true (Dlist.is_empty l)
+let sl_agrees t model =
+  Sl.invariant_ok t
+  && Array.for_all Fun.id (Array.mapi (fun l keys -> Sl.to_list t l = keys) model)
 
-let test_dlist_cross_list_guard () =
-  let a = Dlist.create () and b = Dlist.create () in
-  let n = Dlist.node 1 in
-  Dlist.push_front a n;
-  Alcotest.check_raises "cross-list remove"
-    (Invalid_argument "Dlist.remove: node not in this list") (fun () ->
-      Dlist.remove b n);
-  Alcotest.check_raises "double insert"
-    (Invalid_argument "Dlist.push_front: node already in a list") (fun () ->
-      Dlist.push_front b n)
+let without k = List.filter (fun x -> x <> k)
 
-(* Model-based qcheck: a random op sequence against a list model. *)
-let dlist_model_test =
-  QCheck.Test.make ~name:"dlist matches list model" ~count:200
-    QCheck.(list (pair (int_range 0 3) small_nat))
+let test_slot_lists_guards () =
+  let t = Sl.create ~capacity:2 ~lists:1 in
+  let s = Sl.push_front t 0 7 in
+  checkb "front" true (Sl.front t 0 = s && Sl.back t 0 = s);
+  Alcotest.check_raises "duplicate key"
+    (Invalid_argument "Slot_lists.push_back: key 7 already present") (fun () ->
+      ignore (Sl.push_back t 0 7));
+  ignore (Sl.push_back t 0 8);
+  Alcotest.check_raises "full"
+    (Invalid_argument "Slot_lists.push_front: all 2 slots taken") (fun () ->
+      ignore (Sl.push_front t 0 9));
+  Sl.remove t s;
+  Alcotest.check_raises "freed slot"
+    (Invalid_argument (Printf.sprintf "Slot_lists.remove: slot %d is not live" s))
+    (fun () -> Sl.remove t s);
+  Alcotest.check_raises "nil slot"
+    (Invalid_argument "Slot_lists.key: slot -1 is not live") (fun () ->
+      ignore (Sl.key t Sl.nil));
+  checki "absent key" Sl.nil (Sl.find t 7);
+  checki "absent list" Sl.nil (Sl.list_of t (Sl.find t 7));
+  checkb "invariant" true (Sl.invariant_ok t)
+
+let sl_mem_after_push =
+  QCheck.Test.make ~name:"mem after push" ~count:200
+    QCheck.(list (pair (int_range 0 2) (int_range 0 30)))
     (fun ops ->
-      let l = Dlist.create () in
-      let nodes = Hashtbl.create 16 in
-      let model = ref [] in
-      List.iter
-        (fun (op, v) ->
-          match op with
-          | 0 when not (Hashtbl.mem nodes v) ->
-              let n = Dlist.node v in
-              Hashtbl.add nodes v n;
-              Dlist.push_front l n;
-              model := v :: !model
-          | 1 when not (Hashtbl.mem nodes v) ->
-              let n = Dlist.node v in
-              Hashtbl.add nodes v n;
-              Dlist.push_back l n;
-              model := !model @ [ v ]
-          | 2 -> (
-              match Hashtbl.find_opt nodes v with
-              | Some n ->
-                  Dlist.remove l n;
-                  Hashtbl.remove nodes v;
-                  model := List.filter (fun x -> x <> v) !model
-              | None -> ())
-          | _ -> (
-              match Hashtbl.find_opt nodes v with
-              | Some n ->
-                  Dlist.move_to_front l n;
-                  model := v :: List.filter (fun x -> x <> v) !model
-              | None -> ()))
-        ops;
-      Dlist.to_list l = !model && Dlist.invariant_ok l)
+      let t = Sl.create ~capacity:16 ~lists:3 in
+      let model = Array.make 3 [] in
+      List.for_all
+        (fun (l, k) ->
+          if Sl.find t k <> Sl.nil || Sl.size t = 16 then true
+          else begin
+            let s = Sl.push_front t l k in
+            model.(l) <- k :: model.(l);
+            Sl.find t k = s && Sl.key t s = k && Sl.list_of t s = l
+            && Sl.tag t s = 0 && sl_agrees t model
+          end)
+        ops)
+
+(* An LRU of capacity [cap] on list 0: once full, each fresh key first
+   discards the back slot, which must hold the least-recent key. *)
+let sl_discard_least_recent =
+  QCheck.Test.make ~name:"discard over capacity gives the least-recent key"
+    ~count:200
+    QCheck.(pair (int_range 1 8) (list (pair bool small_nat)))
+    (fun (cap, ops) ->
+      let t = Sl.create ~capacity:cap ~lists:1 in
+      let model = [| [] |] and fresh = ref 0 in
+      List.for_all
+        (fun (touch, i) ->
+          let ok =
+            match model.(0) with
+            | _ :: _ as keys when touch ->
+                let k = List.nth keys (i mod List.length keys) in
+                Sl.move_to_front t 0 (Sl.find t k);
+                model.(0) <- k :: without k keys;
+                true
+            | keys ->
+                let discarded =
+                  if Sl.size t < cap then true
+                  else begin
+                    let victim = Sl.key t (Sl.back t 0) in
+                    Sl.remove t (Sl.back t 0);
+                    model.(0) <- without victim keys;
+                    victim = List.nth keys (cap - 1) && Sl.find t victim = Sl.nil
+                  end
+                in
+                ignore (Sl.push_front t 0 !fresh);
+                model.(0) <- !fresh :: model.(0);
+                incr fresh;
+                discarded
+          in
+          ok && sl_agrees t model)
+        ops)
+
+let sl_remove =
+  QCheck.Test.make ~name:"remove" ~count:200
+    QCheck.(list (pair bool (int_range 0 20)))
+    (fun ops ->
+      let t = Sl.create ~capacity:12 ~lists:1 in
+      let model = [| [] |] in
+      List.for_all
+        (fun (add, k) ->
+          let s = Sl.find t k in
+          if add && s = Sl.nil && Sl.size t < 12 then begin
+            ignore (Sl.push_back t 0 k);
+            model.(0) <- model.(0) @ [ k ]
+          end
+          else if (not add) && s <> Sl.nil then begin
+            Sl.remove t s;
+            model.(0) <- without k model.(0)
+          end;
+          (add || Sl.find t k = Sl.nil) && sl_agrees t model)
+        ops)
+
+let sl_move_between_lists =
+  QCheck.Test.make ~name:"move between lists" ~count:200
+    QCheck.(list (triple (int_range 0 3) (int_range 0 2) (int_range 0 15)))
+    (fun ops ->
+      let t = Sl.create ~capacity:16 ~lists:3 in
+      let model = Array.make 3 [] in
+      let drop k = Array.iteri (fun l keys -> model.(l) <- without k keys) model in
+      List.for_all
+        (fun (op, l, k) ->
+          let s = Sl.find t k in
+          (* a moved key keeps its slot and tag *)
+          let kept () = Sl.find t k = s && Sl.list_of t s = l && Sl.tag t s = k in
+          let ok =
+            match op with
+            | 0 when s = Sl.nil ->
+                Sl.set_tag t (Sl.push_front t l k) k;
+                model.(l) <- k :: model.(l);
+                true
+            | 1 when s = Sl.nil ->
+                Sl.set_tag t (Sl.push_back t l k) k;
+                model.(l) <- model.(l) @ [ k ];
+                true
+            | 2 when s <> Sl.nil ->
+                Sl.move_to_front t l s;
+                drop k;
+                model.(l) <- k :: model.(l);
+                kept ()
+            | 3 when s <> Sl.nil ->
+                Sl.move_to_back t l s;
+                drop k;
+                model.(l) <- model.(l) @ [ k ];
+                kept ()
+            | _ -> true
+          in
+          ok && sl_agrees t model)
+        ops)
+
+(* A full structure accepts a new key only into a freed slot, and
+   hands back exactly that slot. *)
+let sl_freed_slot_reuse =
+  QCheck.Test.make ~name:"freed slot reuse" ~count:200
+    QCheck.(pair (int_range 1 10) (list small_nat))
+    (fun (cap, picks) ->
+      let t = Sl.create ~capacity:cap ~lists:2 in
+      let model = [| []; [] |] in
+      for k = 0 to cap - 1 do
+        ignore (Sl.push_back t (k mod 2) k);
+        model.(k mod 2) <- model.(k mod 2) @ [ k ]
+      done;
+      let next = ref cap in
+      List.for_all
+        (fun i ->
+          let full =
+            match Sl.push_front t 0 !next with
+            | _ -> false
+            | exception Invalid_argument _ -> true
+          in
+          let live = model.(0) @ model.(1) in
+          let victim = List.nth live (i mod List.length live) in
+          let s = Sl.find t victim in
+          Sl.remove t s;
+          Array.iteri (fun l keys -> model.(l) <- without victim keys) model;
+          let s' = Sl.push_front t 1 !next in
+          model.(1) <- !next :: model.(1);
+          incr next;
+          full && s' = s && s' < cap && sl_agrees t model)
+        picks)
 
 (* ------------------------------------------------------------------ *)
 (* Indexed_heap                                                        *)
@@ -565,13 +659,16 @@ let () =
           Alcotest.test_case "summary" `Quick test_stats_summary;
         ] );
       ("float_cmp", [ Alcotest.test_case "all" `Quick test_float_cmp ]);
-      ( "dlist",
-        [
-          Alcotest.test_case "basic" `Quick test_dlist_basic;
-          Alcotest.test_case "pop" `Quick test_dlist_pop;
-          Alcotest.test_case "guards" `Quick test_dlist_cross_list_guard;
-        ]
-        @ qsuite [ dlist_model_test ] );
+      ( "slot_lists",
+        Alcotest.test_case "guards" `Quick test_slot_lists_guards
+        :: qsuite
+             [
+               sl_mem_after_push;
+               sl_discard_least_recent;
+               sl_remove;
+               sl_move_between_lists;
+               sl_freed_slot_reuse;
+             ] );
       ( "indexed_heap",
         [
           Alcotest.test_case "basic" `Quick test_heap_basic;

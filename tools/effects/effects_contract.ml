@@ -43,6 +43,13 @@ let required : (string * contract list) list =
     ("Ccache_util.Int_tbl.set", [ No_alloc; Deterministic ]);
     ("Ccache_util.Int_tbl.remove", [ No_alloc; Deterministic ]);
     ("Ccache_util.Int_tbl.mem", [ No_alloc; Deterministic ]);
+    (* the recency policies' per-request list state *)
+    ("Ccache_util.Slot_lists.find", [ No_alloc; Deterministic ]);
+    ("Ccache_util.Slot_lists.push_front", [ No_alloc; Deterministic ]);
+    ("Ccache_util.Slot_lists.push_back", [ No_alloc; Deterministic ]);
+    ("Ccache_util.Slot_lists.remove", [ No_alloc; Deterministic ]);
+    ("Ccache_util.Slot_lists.move_to_front", [ No_alloc; Deterministic ]);
+    ("Ccache_util.Slot_lists.move_to_back", [ No_alloc; Deterministic ]);
     ("Ccache_trace.Page.pack", [ Pure; No_alloc ]);
     ("Ccache_trace.Page.unpack", [ Pure; No_alloc ]);
     (* the zero-copy trace substrate: per-request iteration and the
