@@ -224,14 +224,14 @@ let bench_suite =
   in
   fun pool () ->
     ignore
-      (Ccache_analysis.Experiment.run_all ?pool
-         ~size:Ccache_analysis.Experiment.Quick specs)
+      (Pool.map_list ?pool specs ~f:(fun (e : Ccache_analysis.Experiment.t) ->
+           e.run Ccache_analysis.Experiment.Quick))
 
 let sweep_ks = [ 16; 32; 64; 128; 256; 512 ]
 
 let bench_ksweep pool () =
   ignore
-    (Ccache_sim.Sweep.run ?pool sweep_ks ~f:(fun k ->
+    (Pool.map_list ?pool sweep_ks ~f:(fun k ->
          Ccache_sim.Engine.run ~index:(Lazy.force fixture_index) ~k
            ~costs:(Lazy.force fixture_costs) Ccache_core.Alg_fast.policy
            (Lazy.force fixture_trace)))
@@ -265,9 +265,9 @@ let parallel_tests =
      the trace generation) dominate the per-cell scan, which is where
      the >= 3x shows up at 16+ cells.
 
-   Arms: [fused] scans the shared trace once (Sweep.run_fused);
-   [unfused] is exactly the --no-fused production path (one Engine.run
-   per cell, offline cells rebuilding their own index); [percell] is
+   Arms: [fused] scans the shared trace once (Sweep.run_cells);
+   [unfused] runs one Engine.run per cell, offline cells rebuilding
+   their own index — the test suite's oracle for [fused]; [percell] is
    the pre-fusion experiment pipeline — regenerate the trace and
    rebuild the index for every cell, as the seed's grid experiments
    (E2, E12) did before their traces were hoisted into shared cells. *)
@@ -310,6 +310,12 @@ let calib_percell n () =
            Ccache_policies.Belady.policy trace))
     (calib_ks n)
 
+let solo_runs cells =
+  List.map
+    (fun (c : Ccache_sim.Sweep.cell) ->
+      Engine.run ~flush:c.flush ~k:c.k ~costs:c.costs c.policy c.trace)
+    cells
+
 let fused_tests =
   let arm name cells run =
     Test.make ~name (Staged.stage (fun () -> ignore (run (Lazy.force cells))))
@@ -320,13 +326,11 @@ let fused_tests =
          let mixed = lazy (mixed_cells n) and calib = lazy (calib_cells n) in
          [
            arm (Printf.sprintf "mixed_fused_%dcells" n) mixed
-             Ccache_sim.Sweep.run_fused;
-           arm (Printf.sprintf "mixed_unfused_%dcells" n) mixed
-             (Ccache_sim.Sweep.run_cells ~fuse:false);
+             Ccache_sim.Sweep.run_cells;
+           arm (Printf.sprintf "mixed_unfused_%dcells" n) mixed solo_runs;
            arm (Printf.sprintf "calib_fused_%dcells" n) calib
-             Ccache_sim.Sweep.run_fused;
-           arm (Printf.sprintf "calib_unfused_%dcells" n) calib
-             (Ccache_sim.Sweep.run_cells ~fuse:false);
+             Ccache_sim.Sweep.run_cells;
+           arm (Printf.sprintf "calib_unfused_%dcells" n) calib solo_runs;
            Test.make
              ~name:(Printf.sprintf "calib_percell_%dcells" n)
              (Staged.stage (calib_percell n));
@@ -522,7 +526,7 @@ let print_speedups rows =
       | _ -> ())
     [ "e_suite"; "k_sweep" ]
 
-let run_fused_group () =
+let run_fusion_group () =
   Printf.printf
     "== fused vs unfused sweeps (mixed = E5/E13 grid, calib = offline k-sweep) ==\n%!";
   let rows = report ~requests_per_run:None (analyze (benchmark fused_tests)) in
@@ -711,7 +715,7 @@ let () =
   run_group ~requests_per_run:trace_len "policy throughput, k=64" (policy_tests ~k:64);
   run_group ~requests_per_run:trace_len "policy throughput, k=1024" (policy_tests ~k:1024);
   run_group ~requests_per_run:trace_len "ALG-DISCRETE fast vs reference" fast_vs_ref_tests;
-  run_fused_group ();
+  run_fusion_group ();
   run_parallel_group ();
   run_substrate_group ();
   (* compare first: the baseline is read before any artifact is written *)

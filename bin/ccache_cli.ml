@@ -59,8 +59,6 @@ let load_trace path =
       | "-" -> Ccache_trace.Trace_io.of_string_any (In_channel.input_all stdin)
       | path -> Ccache_trace.Trace_io.read_any path)
 
-let set_trace_cache dir = Ccache_trace.Trace_cache.set_dir dir
-
 let make_costs ~cost n =
   match cost with
   | "linear" -> Array.init n (fun _ -> Cf.linear ~slope:1.0 ())
@@ -78,14 +76,12 @@ let make_costs ~cost n =
 (* --- run command --- *)
 
 let run_cmd policy_name trace_file workload tenants pages skew seed length k cost
-    flush trace_cache trace_out metrics_out =
+    flush () obs =
   match find_policy policy_name with
   | None ->
       Fmt.epr "unknown policy %S; try the 'list' command@." policy_name;
       2
   | Some policy ->
-      set_trace_cache trace_cache;
-      let obs = Obs_args.setup ~trace_out ~metrics_out in
       let trace =
         match trace_file with
         | Some path -> load_trace path
@@ -94,13 +90,12 @@ let run_cmd policy_name trace_file workload tenants pages skew seed length k cos
       let costs = make_costs ~cost (Ccache_trace.Trace.n_users trace) in
       let result = Ccache_sim.Engine.run ~flush ~k ~costs policy trace in
       Fmt.pr "%a@." (Ccache_sim.Metrics.pp_result ~costs) result;
-      Obs_args.finish obs;
+      Run_flags.finish_obs obs;
       0
 
 (* --- gen command --- *)
 
-let gen_cmd workload tenants pages skew seed length binary out trace_cache =
-  set_trace_cache trace_cache;
+let gen_cmd workload tenants pages skew seed length binary out () =
   let trace = make_workload ~workload ~tenants ~pages ~skew ~seed ~length in
   let write_file, to_string =
     if binary then
@@ -117,8 +112,7 @@ let gen_cmd workload tenants pages skew seed length binary out trace_cache =
 (* --- certify command --- *)
 
 let certify_cmd trace_file workload tenants pages skew seed length k cost iters
-    trace_cache =
-  set_trace_cache trace_cache;
+    () =
   let trace =
     match trace_file with
     | Some path -> load_trace path
@@ -162,43 +156,16 @@ let decode_row s =
 
 let row_codec = { U.Supervisor.encode = encode_row; decode = decode_row }
 
-let parse_fault ~chaos ~kill =
-  let base =
-    match chaos with
-    | Some spec -> (
-        match U.Fault.of_spec spec with
-        | Ok f -> f
-        | Error e ->
-            Fmt.epr "%s@." e;
-            exit 2)
-    | None -> (
-        match U.Fault.from_env () with
-        | Ok (Some f) -> f
-        | Ok None -> U.Fault.none
-        | Error e ->
-            Fmt.epr "%s@." e;
-            exit 2)
-  in
-  if kill = [] then base else U.Fault.kill base kill
-
-(* Multi-k (or multi-policy) sweep over one workload, evaluated on a
-   domain pool when --jobs > 1 and always under the supervised runner:
-   transient faults are retried, a permanently-failing cell is
-   quarantined (row omitted, note on stderr, exit 3) while the rest of
-   the sweep completes, and --checkpoint/--resume snapshot and replay
-   finished cells bit-for-bit.  The trace is generated once up front
-   and shared read-only across domains; each (policy, k) cell is an
-   independent simulation, so the table is identical at every job
-   count. *)
+(* Multi-k (or multi-policy) sweep over one workload, one supervised
+   task per (policy, k) cell: transient faults are retried, a
+   permanently-failing cell is quarantined (row omitted, note on
+   stderr, exit 3) while the rest of the sweep completes, and
+   --checkpoint/--resume snapshot and replay finished cells
+   bit-for-bit.  The trace is generated once up front and shared
+   read-only across domains; each cell is an independent simulation,
+   so the table is identical at every job count. *)
 let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
-    k_factor cost flush jobs timeout retries backoff chaos kill checkpoint_path
-    resume trace_cache trace_out metrics_out =
-  set_trace_cache trace_cache;
-  let obs = Obs_args.setup ~trace_out ~metrics_out in
-  if jobs < 0 then begin
-    Fmt.epr "--jobs must be >= 0@.";
-    exit 2
-  end;
+    k_factor cost flush (flags : Run_flags.t) =
   if k_min <= 0 || k_max < k_min then begin
     Fmt.epr "bad cache-size range: need 0 < --k-min <= --k-max (got %d..%d)@."
       k_min k_max;
@@ -219,10 +186,6 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
             exit 2)
       policy_names
   in
-  if retries < 0 then begin
-    Fmt.epr "--retries must be >= 0@.";
-    exit 2
-  end;
   let trace = make_workload ~workload ~tenants ~pages ~skew ~seed ~length in
   let costs = make_costs ~cost (Ccache_trace.Trace.n_users trace) in
   let index = Ccache_trace.Trace.Index.build trace in
@@ -233,45 +196,15 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
   let task_id (policy, k) =
     Printf.sprintf "%s/k=%d" (Ccache_sim.Policy.name policy) k
   in
-  let fault = parse_fault ~chaos ~kill in
-  let policy_cfg =
-    {
-      U.Supervisor.default_policy with
-      max_retries = retries;
-      timeout_s = timeout;
-      backoff_base_s = backoff;
-    }
-  in
-  let fingerprint =
-    Printf.sprintf
-      "sweep-v1 workload=%s tenants=%d pages=%d skew=%h seed=%d length=%d \
-       k=%d..%d*%h cost=%s flush=%b policies=%s"
-      workload tenants pages skew seed length k_min k_max k_factor cost flush
-      (String.concat "," (List.map Ccache_sim.Policy.name policies))
-  in
   let checkpoint =
-    match (checkpoint_path, resume) with
-    | None, false -> None
-    | None, true ->
-        Fmt.epr "--resume requires --checkpoint FILE@.";
-        exit 2
-    | Some p, true -> (
-        match U.Checkpoint.load_or_create ~path:p ~fingerprint () with
-        | Ok ck -> Some ck
-        | Error e ->
-            Fmt.epr "cannot resume: %s@." e;
-            exit 2)
-    | Some p, false -> Some (U.Checkpoint.create ~path:p ~fingerprint ())
-  in
-  let on_event = function
-    | U.Supervisor.Retrying { task; attempt; delay_s; error } ->
-        Fmt.epr "[supervisor] %s: attempt %d after %.3fs backoff (%s)@." task
-          attempt delay_s error
-    | U.Supervisor.Gave_up { task; attempts; error } ->
-        Fmt.epr "[supervisor] %s: quarantined after %d attempt(s): %s@." task
-          attempts error
-    | U.Supervisor.Replayed { task } ->
-        Fmt.epr "[supervisor] %s: replayed from checkpoint@." task
+    Run_flags.checkpoint flags
+      ~fingerprint:
+        (Printf.sprintf
+           "sweep-v1 workload=%s tenants=%d pages=%d skew=%h seed=%d length=%d \
+            k=%d..%d*%h cost=%s flush=%b policies=%s"
+           workload tenants pages skew seed length k_min k_max k_factor cost
+           flush
+           (String.concat "," (List.map Ccache_sim.Policy.name policies)))
   in
   (* The simulation is deterministic given the shared trace; the cell's
      derived PRNG stream is unused today but keyed on the task id so
@@ -281,14 +214,10 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
       (Ccache_sim.Engine.run ~flush ~index ~k ~costs policy trace)
   in
   let results =
-    let run pool =
-      Ccache_sim.Sweep.run_supervised ?pool ~policy:policy_cfg ~fault
-        ?checkpoint ~codec:row_codec ~on_event ~seed ~task_id cells ~f:eval
-    in
-    if jobs = 1 then run None
-    else
-      let size = if jobs = 0 then None else Some jobs in
-      Ccache_util.Domain_pool.with_pool ?size (fun pool -> run (Some pool))
+    Run_flags.with_pool flags (fun pool ->
+        Ccache_sim.Sweep.run_supervised ?pool ~policy:flags.policy
+          ~fault:flags.fault ?checkpoint ~codec:row_codec
+          ~on_event:Run_flags.on_event ~seed ~task_id cells ~f:eval)
   in
   let module Tbl = Ccache_util.Ascii_table in
   let tbl =
@@ -298,7 +227,6 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
       ~aligns:[ Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
       [ "policy"; "k"; "misses"; "miss%"; "cost" ]
   in
-  let failures = ref [] in
   List.iter
     (fun ((_, k), outcome) ->
       match outcome with
@@ -311,27 +239,12 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
               Tbl.cell_pct row.Ccache_sim.Metrics.miss_ratio;
               Tbl.cell_float ~digits:2 row.Ccache_sim.Metrics.cost;
             ]
-      | U.Supervisor.Quarantined f -> failures := f :: !failures)
+      | U.Supervisor.Quarantined _ -> ())
     results;
   Tbl.print tbl;
   (* the pool (if any) has been joined inside with_pool above *)
-  Obs_args.finish obs;
-  match List.rev !failures with
-  | [] -> 0
-  | failures ->
-      List.iter
-        (fun { U.Supervisor.task; attempts; error } ->
-          Fmt.epr "quarantined: %s (after %d attempt(s)): %s@." task attempts
-            error)
-        failures;
-      (match checkpoint_path with
-      | Some p ->
-          Fmt.epr
-            "partial results checkpointed to %s; rerun with --checkpoint %s \
-             --resume to complete@."
-            p p
-      | None -> ());
-      3
+  Run_flags.finish_obs flags.obs;
+  Run_flags.exit_code flags (U.Supervisor.failures (List.map snd results))
 
 (* --- serve command --- *)
 
@@ -344,9 +257,8 @@ module Serve = Ccache_serve
    --kill shard/1 quarantines one shard while the rest complete, and
    --checkpoint/--resume replay finished shards bit-for-bit. *)
 let serve_cmd policy_name trace_file workload tenants pages skew seed length k
-    cost shards batch queue_cap clients rate route overload jobs timeout
-    retries backoff chaos kill checkpoint_path resume trace_cache trace_out
-    metrics_out =
+    cost shards batch queue_cap clients rate route overload
+    (flags : Run_flags.t) =
   match find_policy policy_name with
   | None ->
       Fmt.epr "unknown policy %S; try the 'list' command@." policy_name;
@@ -364,16 +276,6 @@ let serve_cmd policy_name trace_file workload tenants pages skew seed length k
            positive@.";
         exit 2
       end;
-      if jobs < 0 then begin
-        Fmt.epr "--jobs must be >= 0@.";
-        exit 2
-      end;
-      if retries < 0 then begin
-        Fmt.epr "--retries must be >= 0@.";
-        exit 2
-      end;
-      set_trace_cache trace_cache;
-      let obs = Obs_args.setup ~trace_out ~metrics_out in
       let trace =
         match trace_file with
         | Some path -> load_trace path
@@ -383,140 +285,79 @@ let serve_cmd policy_name trace_file workload tenants pages skew seed length k
       let costs = make_costs ~cost n_users in
       let router =
         match route with
-        | "page" -> Serve.Router.by_page ~shards
-        | "tenant" -> Serve.Router.by_tenant ~shards ~n_users ()
-        | other -> Fmt.failwith "unknown route %S (page|tenant)" other
-      in
-      let overload =
-        match overload with
-        | "block" -> Serve.Scheduler.Block
-        | "reject" -> Serve.Scheduler.Reject
-        | other -> Fmt.failwith "unknown overload mode %S (block|reject)" other
+        | `Page -> Serve.Router.by_page ~shards
+        | `Tenant -> Serve.Router.by_tenant ~shards ~n_users ()
       in
       let shard_k = Stdlib.max 1 (k / shards) in
       let config =
         Serve.Service.config ~policy ~clients ~overload ~client_rate:rate
           ~batch ~queue_cap ~router ~shard_k ()
       in
-      let fingerprint = Serve.Service.fingerprint config ~costs trace in
-      let fault = parse_fault ~chaos ~kill in
-      let policy_cfg =
-        {
-          U.Supervisor.default_policy with
-          max_retries = retries;
-          timeout_s = timeout;
-          backoff_base_s = backoff;
-        }
-      in
       let checkpoint =
-        match (checkpoint_path, resume) with
-        | None, false -> None
-        | None, true ->
-            Fmt.epr "--resume requires --checkpoint FILE@.";
-            exit 2
-        | Some p, true -> (
-            match U.Checkpoint.load_or_create ~path:p ~fingerprint () with
-            | Ok ck -> Some ck
-            | Error e ->
-                Fmt.epr "cannot resume: %s@." e;
-                exit 2)
-        | Some p, false -> Some (U.Checkpoint.create ~path:p ~fingerprint ())
+        Run_flags.checkpoint flags
+          ~fingerprint:(Serve.Service.fingerprint config ~costs trace)
       in
-      let on_event = function
-        | U.Supervisor.Retrying { task; attempt; delay_s; error } ->
-            Fmt.epr "[supervisor] %s: attempt %d after %.3fs backoff (%s)@." task
-              attempt delay_s error
-        | U.Supervisor.Gave_up { task; attempts; error } ->
-            Fmt.epr "[supervisor] %s: quarantined after %d attempt(s): %s@." task
-              attempts error
-        | U.Supervisor.Replayed { task } ->
-            Fmt.epr "[supervisor] %s: replayed from checkpoint@." task
-      in
-      let sup =
-        let run pool =
-          Serve.Service.run_supervised ?pool ~policy:policy_cfg ~fault
-            ?checkpoint ~on_event config ~costs trace
-        in
-        if jobs = 1 then run None
-        else
-          let size = if jobs = 0 then None else Some jobs in
-          Ccache_util.Domain_pool.with_pool ?size (fun pool -> run (Some pool))
-      in
-      (match sup.Serve.Service.outcome with
-      | Some r ->
-          let s = r.Serve.Service.schedule in
-          Fmt.pr
-            "serve: %d shards (route=%s), k=%d/shard, batch=%d, queue-cap=%d, \
-             %d client(s) x rate %d, overload=%s@."
-            shards
-            (Serve.Router.name router)
-            shard_k batch queue_cap clients rate
-            (Serve.Scheduler.overload_name
-               config.Serve.Service.sched.Serve.Scheduler.overload);
-          Fmt.pr
-            "requests %d  admitted %d  rejected %d  stalls %d  rounds %d  \
-             throughput %.2f req/round@."
-            (Serve.Service.requests r)
-            s.Serve.Scheduler.admitted s.Serve.Scheduler.rejected
-            s.Serve.Scheduler.stalls s.Serve.Scheduler.rounds
-            r.Serve.Service.throughput;
-          Fmt.pr "hits %d  misses %d  total cost %.2f@." r.Serve.Service.hits
-            (Serve.Service.misses r) r.Serve.Service.total_cost;
-          let module Tbl = Ccache_util.Ascii_table in
-          let tbl =
-            Tbl.create ~title:"per-shard"
-              ~aligns:
+      let failures =
+        match
+          Run_flags.with_pool flags (fun pool ->
+              Serve.Service.run ?pool ~policy:flags.policy ~fault:flags.fault
+                ?checkpoint ~on_event:Run_flags.on_event config ~costs trace)
+        with
+        | r ->
+            let s = r.Serve.Service.schedule in
+            Fmt.pr
+              "serve: %d shards (route=%s), k=%d/shard, batch=%d, \
+               queue-cap=%d, %d client(s) x rate %d, overload=%s@."
+              shards (Serve.Router.name router) shard_k batch queue_cap clients
+              rate
+              (Serve.Scheduler.overload_name overload);
+            Fmt.pr
+              "requests %d  admitted %d  rejected %d  stalls %d  rounds %d  \
+               throughput %.2f req/round@."
+              (Serve.Service.requests r)
+              s.Serve.Scheduler.admitted s.Serve.Scheduler.rejected
+              s.Serve.Scheduler.stalls s.Serve.Scheduler.rounds
+              r.Serve.Service.throughput;
+            Fmt.pr "hits %d  misses %d  total cost %.2f@." r.Serve.Service.hits
+              (Serve.Service.misses r) r.Serve.Service.total_cost;
+            let module Tbl = Ccache_util.Ascii_table in
+            let tbl =
+              Tbl.create ~title:"per-shard"
+                ~aligns:(List.init 8 (fun _ -> Tbl.Right))
                 [
-                  Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right;
-                  Tbl.Right; Tbl.Right; Tbl.Right;
+                  "shard"; "requests"; "batches"; "maxdepth"; "meanwait";
+                  "rejected"; "hits"; "misses";
                 ]
-              [
-                "shard"; "requests"; "batches"; "maxdepth"; "meanwait";
-                "rejected"; "hits"; "misses";
-              ]
-          in
-          Array.iteri
-            (fun i (ss : Serve.Scheduler.shard_schedule) ->
-              let er = r.Serve.Service.engines.(i) in
-              let drained = Array.length ss.Serve.Scheduler.pages in
-              let mean_wait =
-                if drained = 0 then 0.
-                else
-                  float_of_int
-                    (Array.fold_left ( + ) 0 ss.Serve.Scheduler.waits)
-                  /. float_of_int drained
-              in
-              Tbl.add_row tbl
-                [
-                  Tbl.cell_int i;
-                  Tbl.cell_int drained;
-                  Tbl.cell_int (Array.length ss.Serve.Scheduler.batches);
-                  Tbl.cell_int ss.Serve.Scheduler.max_depth;
-                  Tbl.cell_float ~digits:2 mean_wait;
-                  Tbl.cell_int ss.Serve.Scheduler.rejected;
-                  Tbl.cell_int er.Ccache_sim.Engine.hits;
-                  Tbl.cell_int (Ccache_sim.Engine.misses er);
-                ])
-            s.Serve.Scheduler.shards;
-          Tbl.print tbl
-      | None -> ());
-      Obs_args.finish obs;
-      (match sup.Serve.Service.failures with
-      | [] -> 0
-      | failures ->
-          List.iter
-            (fun { U.Supervisor.task; attempts; error } ->
-              Fmt.epr "quarantined: %s (after %d attempt(s)): %s@." task attempts
-                error)
-            failures;
-          (match checkpoint_path with
-          | Some p ->
-              Fmt.epr
-                "completed shards checkpointed to %s; rerun with --checkpoint \
-                 %s --resume to complete@."
-                p p
-          | None -> ());
-          3)
+            in
+            Array.iteri
+              (fun i (ss : Serve.Scheduler.shard_schedule) ->
+                let er = r.Serve.Service.engines.(i) in
+                let drained = Array.length ss.Serve.Scheduler.pages in
+                let mean_wait =
+                  if drained = 0 then 0.
+                  else
+                    float_of_int
+                      (Array.fold_left ( + ) 0 ss.Serve.Scheduler.waits)
+                    /. float_of_int drained
+                in
+                Tbl.add_row tbl
+                  [
+                    Tbl.cell_int i;
+                    Tbl.cell_int drained;
+                    Tbl.cell_int (Array.length ss.Serve.Scheduler.batches);
+                    Tbl.cell_int ss.Serve.Scheduler.max_depth;
+                    Tbl.cell_float ~digits:2 mean_wait;
+                    Tbl.cell_int ss.Serve.Scheduler.rejected;
+                    Tbl.cell_int er.Ccache_sim.Engine.hits;
+                    Tbl.cell_int (Ccache_sim.Engine.misses er);
+                  ])
+              s.Serve.Scheduler.shards;
+            Tbl.print tbl;
+            []
+        | exception Serve.Service.Incomplete failures -> failures
+      in
+      Run_flags.finish_obs flags.obs;
+      Run_flags.exit_code flags failures
 
 (* --- trace command group --- *)
 
@@ -652,16 +493,6 @@ let binary_arg =
     & info [ "binary" ]
         ~doc:"Write the zero-copy binary .ctrace format instead of text.")
 
-let trace_cache_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "trace-cache" ] ~docv:"DIR"
-        ~doc:
-          "Cache generated workload traces as .ctrace binaries under \
-           $(docv), keyed by a fingerprint of (seed, length, tenant \
-           specs); repeated runs mmap the stored trace instead of \
-           regenerating it.  Byte-identical results either way.")
-
 let trace_in_arg =
   Arg.(
     required & pos 0 (some string) None
@@ -706,74 +537,6 @@ let k_max_arg = Arg.(value & opt int 512 & info [ "k-max" ] ~docv:"K")
 let k_factor_arg =
   Arg.(value & opt float 2.0 & info [ "k-factor" ] ~docv:"F")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Evaluate sweep cells on $(docv) worker domains (default 1 = \
-           sequential, 0 = one per core).  The table is identical at \
-           every N.")
-
-let timeout_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "timeout" ] ~docv:"S"
-        ~doc:
-          "Per-attempt cell deadline in seconds; a cell past it is \
-           retried, then quarantined (default: none).")
-
-let retries_arg =
-  Arg.(
-    value
-    & opt int Ccache_util.Supervisor.default_policy.Ccache_util.Supervisor.max_retries
-    & info [ "retries" ] ~docv:"N"
-        ~doc:"Retry budget for transient faults and deadline misses (default 3).")
-
-let backoff_arg =
-  Arg.(
-    value
-    & opt float
-        Ccache_util.Supervisor.default_policy.Ccache_util.Supervisor.backoff_base_s
-    & info [ "backoff" ] ~docv:"S"
-        ~doc:
-          "Base backoff before the first retry, in seconds; doubles per \
-           retry, capped at 1s (default 0.05).  Deterministic and \
-           jitter-free.")
-
-let chaos_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "chaos" ] ~docv:"SEED:RATE"
-        ~doc:
-          "Deterministic fault injection at cell boundaries; falls back \
-           to $(b,CCACHE_CHAOS).  With retries the table is \
-           byte-identical to a fault-free run.")
-
-let kill_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "kill" ] ~docv:"ID"
-        ~doc:
-          "Inject a permanent crash into the cell with task id $(docv) \
-           (e.g. 'lru/k=64'; repeatable).  The cell is quarantined and \
-           the exit code is 3.")
-
-let checkpoint_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"FILE"
-        ~doc:"Snapshot completed cells to $(docv) (atomic writes).")
-
-let resume_arg =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "Replay cells already recorded in --checkpoint FILE and \
-           compute only the rest.  Refuses a checkpoint written by a \
-           different sweep configuration.")
-
 let shards_arg =
   Arg.(
     value & opt int 4
@@ -808,7 +571,8 @@ let rate_arg =
 
 let route_arg =
   Arg.(
-    value & opt string "page"
+    value
+    & opt (enum [ ("page", `Page); ("tenant", `Tenant) ]) `Page
     & info [ "route" ] ~docv:"MODE"
         ~doc:
           "Shard routing: 'page' (hash partition of the page space) or \
@@ -816,48 +580,48 @@ let route_arg =
 
 let overload_arg =
   Arg.(
-    value & opt string "block"
+    value
+    & opt
+        (enum
+           [
+             ("block", Ccache_serve.Scheduler.Block);
+             ("reject", Ccache_serve.Scheduler.Reject);
+           ])
+        Ccache_serve.Scheduler.Block
     & info [ "overload" ] ~docv:"MODE"
         ~doc:
           "Backpressure on a full shard queue: 'block' (head-of-line \
            stall, nothing dropped) or 'reject' (drop and count).")
 
-let trace_out_arg = Obs_args.trace_out
-let metrics_out_arg = Obs_args.metrics_out
-
 let run_term =
   Term.(
     const run_cmd $ policy_arg $ trace_arg $ workload_arg $ tenants_arg
     $ pages_arg $ skew_arg $ seed_arg $ length_arg $ k_arg $ cost_arg $ flush_arg
-    $ trace_cache_arg $ trace_out_arg $ metrics_out_arg)
+    $ Run_flags.trace_cache $ Run_flags.obs)
 
 let certify_term =
   Term.(
     const certify_cmd $ trace_arg $ workload_arg $ tenants_arg $ pages_arg
     $ skew_arg $ seed_arg $ length_arg $ k_arg $ cost_arg $ iters_arg
-    $ trace_cache_arg)
+    $ Run_flags.trace_cache)
 
 let gen_term =
   Term.(
     const gen_cmd $ workload_arg $ tenants_arg $ pages_arg $ skew_arg $ seed_arg
-    $ length_arg $ binary_arg $ out_arg $ trace_cache_arg)
+    $ length_arg $ binary_arg $ out_arg $ Run_flags.trace_cache)
 
 let sweep_term =
   Term.(
     const sweep_cmd $ policies_arg $ workload_arg $ tenants_arg $ pages_arg
     $ skew_arg $ seed_arg $ length_arg $ k_min_arg $ k_max_arg $ k_factor_arg
-    $ cost_arg $ flush_arg $ jobs_arg $ timeout_arg $ retries_arg $ backoff_arg
-    $ chaos_arg $ kill_arg $ checkpoint_arg $ resume_arg $ trace_cache_arg
-    $ trace_out_arg $ metrics_out_arg)
+    $ cost_arg $ flush_arg $ Run_flags.term)
 
 let serve_term =
   Term.(
     const serve_cmd $ policy_arg $ trace_arg $ workload_arg $ tenants_arg
     $ pages_arg $ skew_arg $ seed_arg $ length_arg $ k_arg $ cost_arg
     $ shards_arg $ batch_arg $ queue_cap_arg $ clients_arg $ rate_arg
-    $ route_arg $ overload_arg $ jobs_arg $ timeout_arg $ retries_arg
-    $ backoff_arg $ chaos_arg $ kill_arg $ checkpoint_arg $ resume_arg
-    $ trace_cache_arg $ trace_out_arg $ metrics_out_arg)
+    $ route_arg $ overload_arg $ Run_flags.term)
 
 let trace_cmd_group =
   Cmd.group

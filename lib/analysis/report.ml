@@ -1,5 +1,5 @@
 (** Rendering experiment outputs as text or markdown (for
-    EXPERIMENTS.md regeneration). *)
+    EXPERIMENTS.md regeneration), and the one suite runner. *)
 
 module Tbl = Ccache_util.Ascii_table
 
@@ -29,21 +29,13 @@ let render_output fmt (o : Experiment.output) =
 let run_and_render ?(fmt = Text) ~size (e : Experiment.t) =
   render_output fmt (e.Experiment.run size)
 
-(* Collect-then-print: with a pool the experiments run concurrently but
-   all rendering happens afterwards, in spec order, so the suite report
-   is byte-identical to the sequential one. *)
-let run_suite ?(fmt = Text) ?pool ~size specs =
-  Experiment.run_all ?pool ~size specs
-  |> List.map (render_output fmt)
-  |> String.concat ""
-
 (* ------------------------------------------------------------------ *)
-(* Supervised suites: quarantine, chaos, checkpoint/resume             *)
+(* The suite runner: quarantine, chaos, checkpoint/resume              *)
 (* ------------------------------------------------------------------ *)
 
 module S = Ccache_util.Supervisor
 
-type supervised = {
+type suite = {
   report : string;  (** completed sections, concatenated in spec order *)
   failures : S.failure list;  (** quarantined experiments, spec order *)
   replayed : string list;  (** ids served from the checkpoint *)
@@ -60,18 +52,15 @@ let fingerprint ~fmt ~size specs =
     (String.concat "," (List.map (fun e -> e.Experiment.id) specs))
 
 (* Rendering happens inside the task, so the checkpoint stores the
-   section's final bytes and a resume replays them verbatim. *)
-let run_suite_supervised ?(fmt = Text) ?pool ?policy ?fault ?checkpoint
-    ?on_event ~size specs =
-  let replayed_lock = Mutex.create () in
+   section's final bytes and a resume replays them verbatim.  Sections
+   are collected first and concatenated in spec order afterwards, so
+   the report is byte-identical at every pool width. *)
+let run_suite ?(fmt = Text) ?pool ?policy ?fault ?checkpoint ?on_event ~size
+    specs =
+  (* the supervisor serialises event delivery, so a plain ref is safe *)
   let replayed = ref [] in
   let observe ev =
-    (match ev with
-    | S.Replayed { task } ->
-        (* already serialised by the supervisor's event mutex, but stay
-           self-contained in case callers ever emit directly *)
-        Mutex.protect replayed_lock (fun () -> replayed := task :: !replayed)
-    | _ -> ());
+    (match ev with S.Replayed { task } -> replayed := task :: !replayed | _ -> ());
     match on_event with None -> () | Some f -> f ev
   in
   let tasks =

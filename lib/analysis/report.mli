@@ -1,26 +1,15 @@
 (** Rendering experiment outputs as text or markdown (EXPERIMENTS.md
-    regeneration). *)
+    regeneration), and the one suite runner. *)
 
 type format = Text | Markdown
 
 val render_output : format -> Experiment.output -> string
 val run_and_render : ?fmt:format -> size:Experiment.size -> Experiment.t -> string
-val run_suite :
-  ?fmt:format ->
-  ?pool:Ccache_util.Domain_pool.t ->
-  size:Experiment.size ->
-  Experiment.t list ->
-  string
-(** Render a whole suite.  With [?pool] the experiments execute
-    concurrently (collect-then-print), and the returned report is
-    byte-identical to the sequential one. *)
 
-(** {1 Supervised suites} *)
-
-type supervised = {
+type suite = {
   report : string;
       (** completed sections concatenated in spec order — byte-identical
-          to {!run_suite} when nothing was quarantined, whatever faults
+          at every pool width, and to a fault-free run whatever faults
           were injected and retried along the way *)
   failures : Ccache_util.Supervisor.failure list;
       (** quarantined experiments, in spec order *)
@@ -31,9 +20,9 @@ val fingerprint :
   fmt:format -> size:Experiment.size -> Experiment.t list -> string
 (** Single-line digest of everything that affects section bytes (format,
     size, spec ids) — the {!Ccache_util.Checkpoint} fingerprint for
-    supervised suite runs. *)
+    suite runs. *)
 
-val run_suite_supervised :
+val run_suite :
   ?fmt:format ->
   ?pool:Ccache_util.Domain_pool.t ->
   ?policy:Ccache_util.Supervisor.policy ->
@@ -42,10 +31,13 @@ val run_suite_supervised :
   ?on_event:(Ccache_util.Supervisor.event -> unit) ->
   size:Experiment.size ->
   Experiment.t list ->
-  supervised
-(** Run and render a suite under supervision (see
-    [Ccache_util.Supervisor] for the failure model).  Rendering happens
-    inside each task, so with [?checkpoint] the snapshot stores each
-    section's final bytes and a later resume replays them verbatim —
-    the checkpoint must have been created with {!fingerprint} for this
-    exact configuration. *)
+  suite
+(** Run and render a suite, one supervised task per experiment (see
+    [Ccache_util.Supervisor] for the failure model); with no optional
+    argument that is the supervisor's defaults — no fault, no deadline,
+    no checkpoint.  With [?pool] the experiments execute concurrently
+    and the report is still byte-identical to the sequential one.
+    Rendering happens inside each task, so with [?checkpoint] the
+    snapshot stores each section's final bytes and a later resume
+    replays them verbatim — the checkpoint must have been created with
+    {!fingerprint} for this exact configuration. *)

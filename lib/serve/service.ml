@@ -8,7 +8,6 @@ open Ccache_trace
 module Cf = Ccache_cost.Cost_function
 module Engine = Ccache_sim.Engine
 module Policy = Ccache_sim.Policy
-module Domain_pool = Ccache_util.Domain_pool
 module Supervisor = Ccache_util.Supervisor
 
 type config = {
@@ -123,39 +122,6 @@ let record_obs result =
     s.Scheduler.shards;
   Array.iter Engine.record_result_obs result.engines
 
-let run_inner ?pool config ~costs trace =
-  validate config ~costs trace;
-  let schedule = plan config trace in
-  let n_users = Trace.n_users trace in
-  let engines =
-    Domain_pool.map_list ?pool
-      ~f:(fun ss ->
-        Shard.run_schedule ~k:config.shard_k ~costs ~policy:config.policy
-          ~n_users ss)
-      (Array.to_list schedule.Scheduler.shards)
-    |> Array.of_list
-  in
-  merge config ~costs trace schedule engines
-
-let run ?pool config ~costs trace =
-  if not (Ccache_obs.Control.enabled ()) then run_inner ?pool config ~costs trace
-  else
-    Ccache_obs.Span.with_ ~cat:"serve"
-      ~args:
-        [
-          ("router", Ccache_obs.Sink.Str (Router.name config.sched.Scheduler.router));
-          ("shards", Ccache_obs.Sink.Int (Router.shards config.sched.Scheduler.router));
-          ("requests", Ccache_obs.Sink.Int (Trace.length trace));
-          ("policy", Ccache_obs.Sink.Str (Policy.name config.policy));
-        ]
-      "serve.run"
-      (fun () ->
-        let r = run_inner ?pool config ~costs trace in
-        record_obs r;
-        r)
-
-(* {2 Supervised execution} *)
-
 let shard_task_id i = Printf.sprintf "shard/%d" i
 
 let engine_codec =
@@ -223,14 +189,12 @@ let fingerprint config ~costs trace =
     (Trace.n_users trace) (Trace.length trace)
     (Ccache_util.Prng.hash_string (Buffer.contents pages))
 
-type supervised = {
-  outcome : result option;
-  failures : Supervisor.failure list;
-  replayed : string list;
-}
+exception Incomplete of Supervisor.failure list
 
-let run_supervised ?pool ?policy ?fault ?checkpoint ?on_event config ~costs
-    trace =
+(* One supervised task per shard.  The supervisor flushes the
+   checkpoint before it returns, so completed shards are on disk even
+   when a quarantine aborts the merge below. *)
+let run_shards ?pool ?policy ?fault ?checkpoint ?on_event config ~costs trace =
   validate config ~costs trace;
   let schedule = plan config trace in
   let n_users = Trace.n_users trace in
@@ -245,25 +209,32 @@ let run_supervised ?pool ?policy ?fault ?checkpoint ?on_event config ~costs
                    ~policy:config.policy ~n_users ss);
            })
   in
-  let replayed = ref [] in
-  let on_event ev =
-    (match ev with
-    | Supervisor.Replayed { task } -> replayed := task :: !replayed
-    | _ -> ());
-    match on_event with Some f -> f ev | None -> ()
-  in
   let outcomes =
     Supervisor.run ?pool ?policy ?fault ?checkpoint ~codec:engine_codec
-      ~on_event tasks
+      ?on_event tasks
   in
-  let failures = Supervisor.failures outcomes in
-  let outcome =
-    if failures <> [] then None
-    else begin
+  match Supervisor.failures outcomes with
+  | [] ->
       let engines = Array.of_list (Supervisor.completed outcomes) in
-      let r = merge config ~costs trace schedule engines in
-      if Ccache_obs.Control.enabled () then record_obs r;
-      Some r
-    end
+      merge config ~costs trace schedule engines
+  | failures -> raise (Incomplete failures)
+
+let run ?pool ?policy ?fault ?checkpoint ?on_event config ~costs trace =
+  let go () =
+    run_shards ?pool ?policy ?fault ?checkpoint ?on_event config ~costs trace
   in
-  { outcome; failures; replayed = List.rev !replayed }
+  if not (Ccache_obs.Control.enabled ()) then go ()
+  else
+    Ccache_obs.Span.with_ ~cat:"serve"
+      ~args:
+        [
+          ("router", Ccache_obs.Sink.Str (Router.name config.sched.Scheduler.router));
+          ("shards", Ccache_obs.Sink.Int (Router.shards config.sched.Scheduler.router));
+          ("requests", Ccache_obs.Sink.Int (Trace.length trace));
+          ("policy", Ccache_obs.Sink.Str (Policy.name config.policy));
+        ]
+      "serve.run"
+      (fun () ->
+        let r = go () in
+        record_obs r;
+        r)

@@ -4,26 +4,23 @@
     the recorded trace over the configured clients,
     {!Scheduler.build} derives the deterministic round schedule, every
     shard replays its schedule through its own engine
-    ({!Shard.run_schedule}) — on [?pool]'s worker domains when given —
-    and the per-shard results are merged into service-level
-    accounting: summed per-user miss counts, total convex cost
-    [sum_i f_i(m_i)] over the {e merged} counts, and logical
-    throughput (admitted requests per round).
+    ({!Shard.run_schedule}) as one {!Ccache_util.Supervisor} task (id
+    ["shard/<i>"]) — on [?pool]'s worker domains when given — and the
+    per-shard results are merged into service-level accounting: summed
+    per-user miss counts, total convex cost [sum_i f_i(m_i)] over the
+    {e merged} counts, and logical throughput (admitted requests per
+    round).
 
     Because the schedule is engine-free and the shard executions are
     independent, the result is a pure function of
     [(config, costs, trace)]: byte-identical at every [--jobs] width,
-    with or without observability recording, and across
-    record/replay.  Observability for the service itself (queue
-    depths, waits, per-shard engine counters) is recorded {e after}
-    the merge, on the calling domain, in shard order — so the metrics
-    export is width-independent too.
-
-    [run_supervised] is the fault-tolerant variant: one
-    {!Ccache_util.Supervisor} task per shard (ids ["shard/<i>"]),
-    engine results checkpointed through {!engine_codec} so a killed
-    run resumes bit-for-bit ({!fingerprint} guards the snapshot
-    against configuration drift). *)
+    with or without observability recording, across record/replay,
+    and across a kill and a checkpointed resume (shard results are
+    checkpointed through {!engine_codec}; {!fingerprint} guards the
+    snapshot against configuration drift).  Observability for the
+    service itself (queue depths, waits, per-shard engine counters) is
+    recorded {e after} the merge, on the calling domain, in shard
+    order — so the metrics export is width-independent too. *)
 
 open Ccache_trace
 
@@ -70,17 +67,7 @@ val plan : config -> Trace.t -> Scheduler.t
 (** The admission schedule [run] executes: [clients_of_trace] +
     [build].  Exposed for tests and for the CLI's dry summary. *)
 
-val run :
-  ?pool:Ccache_util.Domain_pool.t ->
-  config ->
-  costs:Ccache_cost.Cost_function.t array ->
-  Trace.t ->
-  result
-(** Serve the whole trace.  @raise Invalid_argument if [costs] has not
-    exactly one entry per trace user (shards re-validate their
-    sub-traces), or via {!Scheduler.build} / {!Shard.create}. *)
-
-(** {1 Supervised execution} *)
+(** {1 Supervision and checkpointing} *)
 
 val shard_task_id : int -> string
 (** ["shard/<i>"] — the supervisor task id of shard [i], the name
@@ -99,14 +86,14 @@ val fingerprint :
     fingerprint so a snapshot can only replay into the run shape that
     wrote it. *)
 
-type supervised = {
-  outcome : result option;
-      (** [Some] iff every shard completed (or replayed) *)
-  failures : Ccache_util.Supervisor.failure list;
-  replayed : string list;  (** task ids served from the checkpoint *)
-}
+exception Incomplete of Ccache_util.Supervisor.failure list
+(** Raised by {!run} when at least one shard was quarantined (a
+    partial merge would misreport costs), listing the quarantined
+    shards in shard order.  It is raised only after the checkpoint has
+    been flushed, so completed shards are on disk and a follow-up run
+    replays them and re-executes only the failed shards. *)
 
-val run_supervised :
+val run :
   ?pool:Ccache_util.Domain_pool.t ->
   ?policy:Ccache_util.Supervisor.policy ->
   ?fault:Ccache_util.Fault.t ->
@@ -115,10 +102,13 @@ val run_supervised :
   config ->
   costs:Ccache_cost.Cost_function.t array ->
   Trace.t ->
-  supervised
-(** {!run} with one supervised task per shard.  Quarantined shards
-    leave [outcome = None] (a partial merge would misreport costs);
-    completed shards' payloads are still flushed to [?checkpoint], so
-    a follow-up run replays them and only re-executes the failed
-    shards.  Service-level obs is recorded only when the merge
-    happens. *)
+  result
+(** Serve the whole trace, one supervised task per shard.  With no
+    optional argument the supervisor runs with its defaults: no fault,
+    no deadline, no checkpoint.  Service-level obs, and the
+    ["serve.run"] span, are recorded only when obs is on; the
+    service-level counters only when the merge happens.
+    @raise Incomplete if a shard was quarantined — whatever a shard
+    raises, it raises inside its supervised task.
+    @raise Invalid_argument if [costs] has not exactly one entry per
+    trace user, or via {!Scheduler.build}. *)

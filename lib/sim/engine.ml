@@ -87,7 +87,7 @@ let record_obs r =
     [step] replays one trace position, [finish] runs the optional
     terminal flush and assembles the {!result}.  [run_inner] below is
     exactly [init] + a [step] loop + [finish]; the split exists so the
-    fused sweep driver ({!Ccache_sim.Sweep.run_fused}) can advance many
+    fused sweep driver ({!Ccache_sim.Sweep.run_cells}) can advance many
     engine instances in lockstep over a single trace scan.  The state
     is one record of flat arrays and mutable counters, so a batch of
     cells stays cache-resident between steps. *)

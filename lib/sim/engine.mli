@@ -46,7 +46,7 @@ exception Policy_error of string
     replays the request at trace position [pos]; [finish] runs the
     optional terminal flush and assembles the {!result}.  {!run} is
     exactly [init] + a [step] loop over [0 .. length - 1] + [finish] —
-    the split lets {!Ccache_sim.Sweep.run_fused} drive many engine
+    the split lets {!Ccache_sim.Sweep.run_cells} drive many engine
     instances in lockstep over a single trace scan.
 
     Positions must be fed in order [0, 1, ..., length - 1], each

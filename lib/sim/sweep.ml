@@ -32,34 +32,6 @@ let linspace ~start ~stop ~count =
   List.init count (fun i ->
       start +. ((stop -. start) *. float_of_int i /. float_of_int (count - 1)))
 
-(* One span per sweep cell, labelled by input position — [f] itself is
-   opaque, so the position is the only stable identity a cell has. *)
-let cell_span i f =
-  Ccache_obs.Span.with_ ~cat:"sweep"
-    ~args:[ ("cell", Ccache_obs.Sink.Int i) ]
-    "sweep/cell" f
-
-(** Map with the sweep point available for labelling.  With [?pool] the
-    cells are evaluated on the pool's worker domains; results keep the
-    input order either way.  [?chunk] batches consecutive cells into
-    one pool task (grain control for cheap cells); the output is
-    identical at every chunk size. *)
-let run ?pool ?chunk points ~f =
-  let cells = List.mapi (fun i p -> (i, p)) points in
-  Ccache_util.Domain_pool.map_list ?pool ?chunk cells ~f:(fun (i, p) ->
-      (p, cell_span i (fun () -> f p)))
-
-(** Seeded sweep: each cell gets its own PRNG stream, derived from the
-    cell's *position* before any cell runs, so the output is identical
-    whether cells execute sequentially or on any number of domains. *)
-let run_seeded ?pool ?chunk ~seed points ~f =
-  let parent = Ccache_util.Prng.create ~seed in
-  let cells =
-    List.mapi (fun i p -> (i, p, Ccache_util.Prng.split parent)) points
-  in
-  Ccache_util.Domain_pool.map_list ?pool ?chunk cells ~f:(fun (i, p, g) ->
-      (p, cell_span i (fun () -> f g p)))
-
 (* ------------------------------------------------------------------ *)
 (* Fused single-pass engine sweeps                                     *)
 (* ------------------------------------------------------------------ *)
@@ -74,14 +46,6 @@ type cell = {
 
 let cell ?(flush = false) ~k ~costs policy trace =
   { policy; k; costs; flush; trace }
-
-(* Process-wide fused/unfused switch (the --fused / --no-fused flag on
-   the binaries).  Read from worker domains, hence atomic; fused is the
-   default because it is byte-identical by construction and the CI
-   fused-equivalence job keeps it that way. *)
-let fused = Atomic.make true
-let set_fused b = Atomic.set fused b
-let fused_enabled () = Atomic.get fused
 
 (* Cells are groupable exactly when they replay the same trace, and
    "same" means physical identity: value equality could conflate
@@ -163,8 +127,8 @@ let scan_group cells =
           Array.to_list (Array.map Engine.Step.finish states))
 
 (* Post-scan accounting, in input order: one engine span + the run
-   counters per cell, exactly what the per-cell [Engine.run]s of the
-   unfused path record, so fused and unfused metrics exports agree. *)
+   counters per cell, exactly what per-cell [Engine.run]s record, so
+   the exports match the solo-run oracle. *)
 let record_cell_obs cells results =
   if Ccache_obs.Control.enabled () then
     List.iter2
@@ -180,7 +144,7 @@ let record_cell_obs cells results =
           (fun () -> Engine.record_result_obs r))
       cells results
 
-let run_fused ?pool ?chunk cells =
+let run_cells ?pool ?chunk cells =
   let arr = Array.of_list cells in
   let groups =
     List.map (fun ixs -> List.map (fun i -> (i, arr.(i))) ixs)
@@ -188,7 +152,7 @@ let run_fused ?pool ?chunk cells =
   in
   let scanned =
     (* groups-vs-cells is an execution detail; keep it out of metrics so
-       fused and unfused exports stay byte-identical *)
+       the exports match per-cell runs byte for byte *)
     Ccache_util.Domain_pool.map_list ?pool ?chunk ~count_blocks:false groups
       ~f:(fun group ->
         let results = scan_group (List.map snd group) in
@@ -222,14 +186,8 @@ let rows ~width xs =
   in
   go [] [] 0 xs
 
-let run_cells ?pool ?chunk ?(fuse = true) cells =
-  if fuse && fused_enabled () then run_fused ?pool ?chunk cells
-  else
-    Ccache_util.Domain_pool.map_list ?pool ?chunk ~count_blocks:false cells
-      ~f:(fun c ->
-        Engine.run ~flush:c.flush ~k:c.k ~costs:c.costs c.policy c.trace)
-
-(** Supervised sweep: deadlines, retry, quarantine, checkpoint replay.
+(** The generic point sweep, always supervised: deadlines, retry,
+    quarantine, checkpoint replay.
     Each cell's stream is keyed on [(seed, task_id p)] — not on split
     order — so every retry (and every resume) rebuilds the exact
     stream the first attempt saw; convergence to the fault-free output

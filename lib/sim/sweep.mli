@@ -10,39 +10,16 @@ val geometric : start:int -> stop:int -> factor:float -> int list
 val arithmetic : start:int -> stop:int -> step:int -> int list
 val linspace : start:float -> stop:float -> count:int -> float list
 
-val run :
-  ?pool:Ccache_util.Domain_pool.t ->
-  ?chunk:int ->
-  'a list ->
-  f:('a -> 'b) ->
-  ('a * 'b) list
-(** Map keeping the sweep point for labelling.  With [?pool] the cells
-    are evaluated in parallel on the pool's workers; the result list is
-    in input order either way.  [?chunk] batches that many consecutive
-    cells per pool task (see
-    {!Ccache_util.Domain_pool.parallel_map}) — grain control only,
-    never a result change. *)
-
-val run_seeded :
-  ?pool:Ccache_util.Domain_pool.t ->
-  ?chunk:int ->
-  seed:int ->
-  'a list ->
-  f:(Ccache_util.Prng.t -> 'a -> 'b) ->
-  ('a * 'b) list
-(** Like {!run} but hands each cell a private {!Ccache_util.Prng}
-    stream derived deterministically from [seed] and the cell index
-    before any cell executes.  Output is bit-for-bit identical across
-    pool sizes, including no pool at all. *)
-
 (** {1 Fused single-pass engine sweeps}
 
     A sweep over (policy, k, costs) cells that share one request trace
-    does not need one trace replay per cell: {!run_fused} scans the
+    does not need one trace replay per cell: {!run_cells} scans the
     trace once and advances every cell's engine in lockstep through the
     {!Engine.Step} API.  The output is byte-identical to per-cell
-    {!Engine.run}s — same results in the same order, same obs metrics —
-    which the CI fused-equivalence job enforces end to end. *)
+    {!Engine.run}s — same results in the same order, same obs metrics
+    and engine spans — which the test suite checks against a per-cell
+    {!Engine.run} oracle and the CI fused-equivalence job pins end to
+    end. *)
 
 type cell = {
   policy : Policy.t;
@@ -62,25 +39,11 @@ val cell :
 (** One engine run's parameters ([flush] defaults to false), mirroring
     {!Engine.run}'s. *)
 
-val set_fused : bool -> unit
-(** Process-wide switch consulted by {!run_cells} (the [--fused] /
-    [--no-fused] flag); fused is the default. *)
-
-val fused_enabled : unit -> bool
-
 val group_indices : cell list -> int list list
 (** The fused partition: cell indices grouped by *physical* trace
     identity, groups in first-touch order, indices ascending within a
     group.  Cells whose traces are equal but not shared ([==]) land in
     separate groups and fall back to solo scans. *)
-
-val run_fused : ?pool:Ccache_util.Domain_pool.t -> ?chunk:int -> cell list -> Engine.result list
-(** Run every cell, scanning each distinct (physically shared) trace
-    exactly once; results are in input order.  With [?pool], whole
-    groups are distributed over the pool's workers ([?chunk] batches
-    consecutive groups per task) — the result is identical at every
-    width and grain.  A singleton group degenerates to an ordinary
-    engine run over its own scan. *)
 
 val rows : width:int -> 'a list -> 'a list list
 (** Split a flat row-major list into rows of [width] — the inverse of
@@ -91,15 +54,16 @@ val rows : width:int -> 'a list -> 'a list list
 val run_cells :
   ?pool:Ccache_util.Domain_pool.t ->
   ?chunk:int ->
-  ?fuse:bool ->
   cell list ->
   Engine.result list
-(** {!run_fused} when fusing is enabled (the {!set_fused} switch AND
-    the per-call [?fuse], default true), per-cell {!Engine.run}s
-    otherwise.  Callers whose cells are data-dependent — a later cell's
-    trace or costs derived from an earlier result, or traces mutated
-    between cells — must pass [~fuse:false] (the per-experiment
-    opt-out); everyone else gets the single-pass path for free. *)
+(** Run every cell, scanning each distinct (physically shared) trace
+    exactly once; results are in input order.  With [?pool], whole
+    groups are distributed over the pool's workers ([?chunk] batches
+    consecutive groups per task) — the result is identical at every
+    width and grain.  A singleton group degenerates to an ordinary
+    engine run over its own scan.  Cells must be independent: a cell
+    whose trace or costs derive from another cell's result belongs in
+    a later [run_cells] call. *)
 
 val run_supervised :
   ?pool:Ccache_util.Domain_pool.t ->
@@ -113,7 +77,8 @@ val run_supervised :
   'a list ->
   f:(Ccache_util.Supervisor.ctx -> Ccache_util.Prng.t -> 'a -> 'b) ->
   ('a * 'b Ccache_util.Supervisor.outcome) list
-(** Supervised variant of {!run_seeded}: per-cell deadlines and
+(** The generic point sweep: [f] runs once per point, on [?pool]'s
+    workers when given, under the supervisor — per-cell deadlines and
     cooperative cancellation (the [ctx]), bounded deterministic retry,
     quarantine of permanently-failing cells, fault injection, and
     checkpoint replay ([?checkpoint] requires [?codec]).

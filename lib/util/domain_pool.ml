@@ -284,9 +284,9 @@ let map_list ?pool ?chunk ?(count_blocks = true) ~f xs =
      the execution width, and the partition counter below is emitted on
      every path — so chunk-sensitive obs counters agree between --jobs 1
      and --jobs N runs of the same sweep.  [count_blocks:false] is for
-     callers whose *item list* depends on an execution strategy (fused
-     sweeps map over trace groups, unfused over cells): their metrics
-     must not leak the strategy. *)
+     callers whose *item list* is an execution detail (fused sweeps map
+     over trace groups, not cells): their metrics must match what one
+     task per cell would record. *)
   let chunk = match chunk with Some c -> Stdlib.max 1 c | None -> 1 in
   if count_blocks && Ccache_obs.Control.enabled () then begin
     let n = List.length xs in

@@ -8,8 +8,9 @@
     Determinism contract: the pool never reorders *results* — only the
     wall-clock interleaving of side effects differs between pool sizes.
     Callers that need bit-for-bit reproducible randomness must derive
-    one {!Prng} stream per task *before* submission (see
-    [Ccache_sim.Sweep.run_seeded]); with that discipline a run with 1
+    one {!Prng} stream per task from the task's identity, never from
+    execution order (see [Ccache_sim.Sweep.run_supervised], which keys
+    each stream on the task id); with that discipline a run with 1
     worker and a run with 8 workers produce identical output.
 
     Tasks must not themselves [submit]/[await] on the same pool: a task
@@ -111,6 +112,6 @@ val map_list :
     partition size is recorded in the [pool/map_blocks] obs counter
     identically at every execution width, so chunk-sensitive counters
     match across [--jobs] settings.  [?count_blocks] (default [true])
-    suppresses that counter for callers whose item list depends on an
-    execution strategy that must not show up in metrics (the fused
-    sweep maps over trace groups, the unfused one over cells). *)
+    suppresses that counter for callers whose item list is an
+    execution detail that must not show up in metrics (the fused sweep
+    maps over trace groups, not cells). *)

@@ -100,9 +100,6 @@ let check ctx =
            { task = ctx.ctx_task; elapsed_s = wall_now () -. ctx.started })
   | _ -> ()
 
-let unsupervised_ctx ~task =
-  { ctx_task = task; ctx_attempt = 0; started = 0.0; deadline = None }
-
 (* ------------------------------------------------------------------ *)
 (* Outcomes and events                                                 *)
 (* ------------------------------------------------------------------ *)

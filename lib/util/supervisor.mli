@@ -57,6 +57,11 @@ val default_policy : policy
 (** 3 retries, no deadline, 50 ms base doubling to a 1 s cap, no
     jitter. *)
 
+val validate_policy : policy -> unit
+(** The check {!run} applies to its [?policy]; exposed so front ends
+    can reject bad settings before any task starts.
+    @raise Invalid_argument naming the first malformed field. *)
+
 val backoff_delay : policy -> task:string -> attempt:int -> float
 (** Pure backoff schedule: the delay slept after 0-based [attempt]
     fails (i.e. before attempt [attempt + 1]).  Exposed so tests can
@@ -77,10 +82,6 @@ val check : ctx -> unit
     periodically.  @raise Timed_out once the attempt deadline has
     passed.  The supervisor also checks at the closing task boundary,
     so even non-cooperative tasks cannot return past their deadline. *)
-
-val unsupervised_ctx : task:string -> ctx
-(** A deadline-free context, for running a supervised task function
-    outside the supervisor (plain paths, tests). *)
 
 (** {1 Outcomes and events} *)
 

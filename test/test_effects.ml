@@ -158,7 +158,7 @@ let test_mutation_caught () =
   checkb "clock reaches the fused-sweep pool task" true
     (List.exists
        (fun l ->
-         contains_sub l "[pool-task-effects]" && contains_sub l "run_fused")
+         contains_sub l "[pool-task-effects]" && contains_sub l "run_cells")
        lines)
 
 let test_mutation_alloc () =

@@ -1,7 +1,7 @@
-(* Fused single-pass sweeps: Sweep.run_fused / run_cells must be
-   byte-identical to per-cell Engine.run over arbitrary (policy, k,
-   costs, trace) grids — the invariant the fused-equivalence CI job
-   enforces end to end on the suite, checked here at the API level.
+(* Fused single-pass sweeps: Sweep.run_cells must be byte-identical to
+   per-cell Engine.run over arbitrary (policy, k, costs, trace) grids.
+   The per-cell runs are the oracle; the fused-equivalence CI job pins
+   the suite report end to end, this checks the API level.
    Also covers the Engine.Step API directly and the deterministic
    serial chunking of Domain_pool.map_list (the --jobs-width obs
    contract). *)
@@ -38,7 +38,7 @@ let costs_of ~beta =
   Array.init tenants (fun i ->
       if i = 0 then Cf.linear ~slope:2.0 () else Cf.monomial ~beta ())
 
-(* The unfused reference: one plain Engine.run per cell. *)
+(* The oracle: one plain Engine.run per cell. *)
 let solo (c : Sweep.cell) =
   Engine.run ~flush:c.Sweep.flush ~k:c.Sweep.k ~costs:c.Sweep.costs
     c.Sweep.policy c.Sweep.trace
@@ -60,19 +60,19 @@ let cells_over trace params =
     params
 
 let fused_matches_solo =
-  QCheck.Test.make ~name:"run_fused = per-cell Engine.run" ~count:40
+  QCheck.Test.make ~name:"run_cells = per-cell Engine.run" ~count:40
     QCheck.(triple (int_range 0 1000) (int_range 50 400) cell_params)
     (fun (seed, length, params) ->
       QCheck.assume (params <> []);
       let trace = make_trace ~seed ~length in
       let cells = cells_over trace params in
-      Sweep.run_fused cells = List.map solo cells)
+      Sweep.run_cells cells = List.map solo cells)
 
 let fused_matches_solo_distinct_traces =
   (* cells alternating over two physically distinct traces: the fused
      partition degenerates to one group per trace, and the per-group
      fallback must still reproduce the solo runs exactly *)
-  QCheck.Test.make ~name:"run_fused with distinct traces (per-group fallback)"
+  QCheck.Test.make ~name:"run_cells with distinct traces (per-group fallback)"
     ~count:25
     QCheck.(triple (int_range 0 1000) (int_range 50 300) cell_params)
     (fun (seed, length, params) ->
@@ -85,12 +85,12 @@ let fused_matches_solo_distinct_traces =
           (cells_over t1 params)
       in
       List.length (Sweep.group_indices cells) = 2
-      && Sweep.run_fused cells = List.map solo cells)
+      && Sweep.run_cells cells = List.map solo cells)
 
 let fused_matches_solo_pooled =
   (* whole groups distributed over a pool, chunked — same results in
      the same order at any width and grain *)
-  QCheck.Test.make ~name:"run_fused on a chunked Domain_pool" ~count:10
+  QCheck.Test.make ~name:"run_cells on a chunked Domain_pool" ~count:10
     QCheck.(
       quad (int_range 0 1000) (int_range 50 200) (int_range 1 3) cell_params)
     (fun (seed, length, chunk, params) ->
@@ -104,8 +104,11 @@ let fused_matches_solo_pooled =
           (cells_over traces.(0) params)
       in
       let expected = List.map solo cells in
-      Pool.with_pool ~size:2 (fun pool ->
-          Sweep.run_fused ~pool ~chunk cells = expected))
+      List.for_all
+        (fun size ->
+          Pool.with_pool ~size (fun pool ->
+              Sweep.run_cells ~pool ~chunk cells = expected))
+        [ 2; 8 ])
 
 let step_matches_run =
   (* the stepping API driven by hand is the engine *)
@@ -124,19 +127,13 @@ let step_matches_run =
       done;
       Engine.Step.finish st = Engine.run ~flush ~k ~costs policy trace)
 
-let run_cells_obeys_switches () =
+let run_cells_fixed_grid () =
+  (* an online, an offline and a flushing cell over one shared trace:
+     one fused group, same results as the solo runs *)
   let trace = make_trace ~seed:7 ~length:200 in
   let cells = cells_over trace [ (0, 8, false); (5, 8, false); (3, 16, true) ] in
-  let expected = List.map solo cells in
-  checkb "fused on" true (Sweep.run_cells cells = expected);
-  checkb "per-call opt-out" true (Sweep.run_cells ~fuse:false cells = expected);
-  Sweep.set_fused false;
-  Fun.protect
-    ~finally:(fun () -> Sweep.set_fused true)
-    (fun () ->
-      checkb "still enabled default" false (Sweep.fused_enabled ());
-      checkb "global opt-out" true (Sweep.run_cells cells = expected));
-  checkb "switch restored" true (Sweep.fused_enabled ())
+  checki "one fused group" 1 (List.length (Sweep.group_indices cells));
+  checkb "fused = solo" true (Sweep.run_cells cells = List.map solo cells)
 
 let test_group_indices () =
   let t1 = make_trace ~seed:1 ~length:60 in
@@ -207,7 +204,7 @@ let () =
         [
           Alcotest.test_case "group_indices" `Quick test_group_indices;
           Alcotest.test_case "rows" `Quick test_rows;
-          Alcotest.test_case "switches" `Quick run_cells_obeys_switches;
+          Alcotest.test_case "fixed grid" `Quick run_cells_fixed_grid;
         ] );
       ( "serial chunking",
         Alcotest.test_case "visit order" `Quick serial_chunk_order

@@ -1,4 +1,5 @@
-(* Ccache_obs: merge laws, jobs-width independence, span nesting on
+(* Ccache_obs: merge laws, jobs-width independence, fused-sweep obs
+   equivalence, span nesting on
    supervisor retry paths, the zero-overhead-off guarantee, and the
    golden Chrome-trace export.
 
@@ -130,10 +131,9 @@ let app_view (s : M.snapshot) =
   let keep (name, _) = not (String.length name >= 5 && String.sub name 0 5 = "pool/") in
   (List.filter keep s.M.counters, List.filter keep s.M.hists)
 
-let span_view spans =
+let span_view ?(cats = [ "sweep"; "supervisor"; "engine" ]) spans =
   spans
-  |> List.filter (fun (s : Sink.span) ->
-         s.Sink.sp_cat = "sweep" || s.Sink.sp_cat = "engine")
+  |> List.filter (fun (s : Sink.span) -> List.mem s.Sink.sp_cat cats)
   |> List.map (fun (s : Sink.span) -> (s.Sink.sp_cat, s.Sink.sp_name, s.Sink.sp_args))
   |> List.sort compare
 
@@ -149,11 +149,14 @@ let record_sweep pool =
       (fun _ -> Ccache_cost.Cost_function.monomial ~beta:2.0 ())
   in
   let results =
-    Ccache_sim.Sweep.run ?pool [ 8; 16; 32; 64 ] ~f:(fun k ->
+    Ccache_sim.Sweep.run_supervised ?pool ~seed:0 ~task_id:string_of_int
+      [ 8; 16; 32; 64 ] ~f:(fun _ctx _g k ->
         Ccache_sim.Engine.misses
           (Ccache_sim.Engine.run ~k ~costs Ccache_core.Alg_fast.policy trace))
   in
-  (List.map snd results, app_view (M.snapshot ()), span_view (Span.collect ()))
+  ( U.Supervisor.completed (List.map snd results),
+    app_view (M.snapshot ()),
+    span_view (Span.collect ()) )
 
 let test_jobs_width_independence () =
   Control.with_enabled ~clock:(Clock.counting ()) @@ fun () ->
@@ -165,6 +168,54 @@ let test_jobs_width_independence () =
   Alcotest.(check bool) "counters+histograms identical" true (app1 = app8);
   Alcotest.(check int) "same span count" (List.length spans1) (List.length spans8);
   Alcotest.(check bool) "span structure identical" true (spans1 = spans8)
+
+(* ------------------------------------------------------------------ *)
+(* Fused sweeps record what per-cell engine runs record                *)
+(* ------------------------------------------------------------------ *)
+
+(* The obs half of the fused-equivalence oracle: one fused scan over a
+   shared trace leaves the same metrics and the same engine spans as
+   one solo Engine.run per cell.  Online, offline and flushing cells
+   all take part. *)
+let test_run_cells_obs_matches_solo () =
+  let module Sweep = Ccache_sim.Sweep in
+  let trace =
+    Ccache_trace.Workloads.generate ~seed:5 ~length:2000
+      (Ccache_trace.Workloads.sqlvm_mix ~scale:1)
+  in
+  let costs =
+    Array.init
+      (Ccache_trace.Trace.n_users trace)
+      (fun _ -> Ccache_cost.Cost_function.monomial ~beta:2.0 ())
+  in
+  let cells =
+    [
+      Sweep.cell ~k:8 ~costs Ccache_policies.Lru.policy trace;
+      Sweep.cell ~k:16 ~costs Ccache_core.Alg_fast.policy trace;
+      Sweep.cell ~k:32 ~costs Ccache_policies.Belady.policy trace;
+      Sweep.cell ~flush:true ~k:64 ~costs Ccache_core.Alg_discrete.policy trace;
+    ]
+  in
+  let record f =
+    Control.with_enabled ~clock:(Clock.counting ()) @@ fun () ->
+    M.reset ();
+    let results = f () in
+    (results, app_view (M.snapshot ()), span_view ~cats:[ "engine" ] (Span.collect ()))
+  in
+  let fused, fused_app, fused_spans = record (fun () -> Sweep.run_cells cells) in
+  let solo, solo_app, solo_spans =
+    record (fun () ->
+        List.map
+          (fun (c : Sweep.cell) ->
+            Ccache_sim.Engine.run ~flush:c.Sweep.flush ~k:c.Sweep.k
+              ~costs:c.Sweep.costs c.Sweep.policy c.Sweep.trace)
+          cells)
+  in
+  Alcotest.(check bool) "results identical" true (fused = solo);
+  Alcotest.(check bool) "metrics identical" true (fused_app = solo_app);
+  Alcotest.(check int) "one engine span per cell" (List.length cells)
+    (List.length fused_spans);
+  Alcotest.(check bool) "engine spans identical" true (fused_spans = solo_spans)
 
 (* ------------------------------------------------------------------ *)
 (* Span nesting on supervisor retry paths                              *)
@@ -288,11 +339,12 @@ let test_report_bytes_off_vs_on () =
     match A.Suite.all with a :: b :: _ -> [ a; b ] | l -> l
   in
   Control.disable ();
-  let off = A.Report.run_suite ~size:A.Experiment.Quick specs in
+  let report () = (A.Report.run_suite ~size:A.Experiment.Quick specs).report in
+  let off = report () in
   let on =
     Control.with_enabled (fun () ->
         M.reset ();
-        A.Report.run_suite ~size:A.Experiment.Quick specs)
+        report ())
   in
   Alcotest.(check string) "report bytes identical" off on
 
@@ -341,6 +393,11 @@ let () =
       ( "jobs-width",
         [
           Alcotest.test_case "1 vs 8 workers" `Quick test_jobs_width_independence;
+        ] );
+      ( "fused",
+        [
+          Alcotest.test_case "run_cells = per-cell Engine.run" `Quick
+            test_run_cells_obs_matches_solo;
         ] );
       ( "supervisor-spans",
         [

@@ -142,25 +142,44 @@ let map_model_test =
 (* ------------------------------------------------------------------ *)
 
 let test_sweep_seeded_deterministic () =
-  (* run_seeded pins each cell's PRNG before dispatch, so any pool
+  (* run_supervised keys each cell's PRNG on its task id, so any pool
      width reproduces the sequential draw exactly *)
   let points = List.init 12 Fun.id in
-  let f g p = (p, Prng.int g 1_000_000, Prng.float g) in
-  let serial = Sweep.run_seeded ~seed:123 points ~f in
+  let f _ctx g p = (p, Prng.int g 1_000_000, Prng.float g) in
+  let sweep ?pool () =
+    Sweep.run_supervised ?pool ~seed:123 ~task_id:string_of_int points ~f
+  in
+  let serial = sweep () in
+  checki "every cell completes" 12
+    (List.length (Ccache_util.Supervisor.completed (List.map snd serial)));
   Pool.with_pool ~size:4 (fun pool ->
-      let pooled = Sweep.run_seeded ~pool ~seed:123 points ~f in
-      checkb "seeded sweep identical" true (serial = pooled))
+      checkb "seeded sweep identical" true (serial = sweep ~pool ()))
 
 let test_suite_output_identical () =
   (* the --jobs 1 vs --jobs 4 contract, on a suite prefix to keep the
      test fast; bin/experiments.exe routes through this exact code *)
   let specs = List.filteri (fun i _ -> i < 3) A.Suite.all in
   let size = A.Experiment.Quick in
-  let serial = A.Report.run_suite ~size specs in
+  let serial = (A.Report.run_suite ~size specs).report in
   let pooled =
-    Pool.with_pool ~size:4 (fun pool -> A.Report.run_suite ~pool ~size specs)
+    Pool.with_pool ~size:4 (fun pool -> (A.Report.run_suite ~pool ~size specs).report)
   in
   checks "suite report byte-identical" serial pooled
+
+(* The whole quick suite, pinned: this MD5 is the seed's report, from
+   per-cell engine runs before sweeps were fused, so it is the oracle
+   the single fused path must reproduce at every pool width. *)
+let quick_suite_md5 = "e43f2734779d3fbd40ddd628444509e4"
+
+let test_quick_suite_pinned () =
+  let md5 ?pool () =
+    let r = A.Report.run_suite ?pool ~size:A.Experiment.Quick A.Suite.all in
+    checkb "nothing quarantined" true (r.A.Report.failures = []);
+    Digest.to_hex (Digest.string r.A.Report.report)
+  in
+  checks "quick suite, no pool" quick_suite_md5 (md5 ());
+  checks "quick suite, 8-wide pool" quick_suite_md5
+    (Pool.with_pool ~size:8 (fun pool -> md5 ~pool ()))
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                              *)
@@ -189,5 +208,6 @@ let () =
         [
           Alcotest.test_case "seeded sweep" `Quick test_sweep_seeded_deterministic;
           Alcotest.test_case "suite report" `Quick test_suite_output_identical;
+          Alcotest.test_case "quick suite pinned" `Quick test_quick_suite_pinned;
         ] );
     ]

@@ -387,16 +387,16 @@ let test_kill_quarantines_and_resume_completes () =
     (fun () ->
       let fingerprint = Service.fingerprint config ~costs t in
       let ck = U.Checkpoint.create ~path ~fingerprint () in
-      let killed =
-        Service.run_supervised
-          ~fault:(U.Fault.kill U.Fault.none [ Service.shard_task_id 1 ])
-          ~checkpoint:ck config ~costs t
-      in
-      checkb "no merged result under quarantine" true
-        (killed.Service.outcome = None);
-      (match killed.Service.failures with
-      | [ f ] -> checkb "shard/1 quarantined" true (f.U.Supervisor.task = "shard/1")
-      | fs -> Alcotest.failf "expected 1 failure, got %d" (List.length fs));
+      (match
+         Service.run
+           ~fault:(U.Fault.kill U.Fault.none [ Service.shard_task_id 1 ])
+           ~checkpoint:ck config ~costs t
+       with
+      | _ -> Alcotest.fail "no merged result under quarantine"
+      | exception Service.Incomplete [ f ] ->
+          checkb "shard/1 quarantined" true (f.U.Supervisor.task = "shard/1")
+      | exception Service.Incomplete fs ->
+          Alcotest.failf "expected 1 failure, got %d" (List.length fs));
       (* resume: the three completed shards replay from the snapshot,
          only shard/1 is recomputed, and the merged result is
          byte-identical to the uninterrupted run *)
@@ -405,18 +405,18 @@ let test_kill_quarantines_and_resume_completes () =
         | Ok ck -> ck
         | Error e -> Alcotest.failf "reload failed: %s" e
       in
-      let resumed = Service.run_supervised ~checkpoint:ck2 config ~costs t in
-      checkb "resume completes" true (resumed.Service.failures = []);
+      let replayed = ref [] in
+      let on_event = function
+        | U.Supervisor.Replayed { task } -> replayed := task :: !replayed
+        | _ -> ()
+      in
+      let r = Service.run ~checkpoint:ck2 ~on_event config ~costs t in
       checkb "replayed the completed shards" true
-        (List.sort compare resumed.Service.replayed
-        = [ "shard/0"; "shard/2"; "shard/3" ]);
-      match resumed.Service.outcome with
-      | None -> Alcotest.fail "resume produced no result"
-      | Some r ->
-          checkb "engines identical to uninterrupted run" true
-            (r.Service.engines = baseline.Service.engines);
-          Alcotest.(check (float 0.0))
-            "cost identical" baseline.Service.total_cost r.Service.total_cost)
+        (List.sort compare !replayed = [ "shard/0"; "shard/2"; "shard/3" ]);
+      checkb "engines identical to uninterrupted run" true
+        (r.Service.engines = baseline.Service.engines);
+      Alcotest.(check (float 0.0))
+        "cost identical" baseline.Service.total_cost r.Service.total_cost)
 
 let test_fingerprint_guards_resume () =
   let t = workload ~seed:14 ~tenants:2 ~length:100 in
@@ -433,7 +433,7 @@ let test_fingerprint_guards_resume () =
           ~fingerprint:(Service.fingerprint (config 8) ~costs t)
           ()
       in
-      let _ = Service.run_supervised ~checkpoint:ck (config 8) ~costs t in
+      let _ = Service.run ~checkpoint:ck (config 8) ~costs t in
       checkb "other-config resume refused" true
         (match
            U.Checkpoint.load_or_create ~path

@@ -337,8 +337,13 @@ let test_sweep_helpers () =
   checkb "linspace ends" true
     (let l = Sweep.linspace ~start:0.0 ~stop:1.0 ~count:5 in
      List.nth l 0 = 0.0 && List.nth l 4 = 1.0 && List.length l = 5);
-  checkb "run labels" true
-    (Sweep.run [ 1; 2 ] ~f:(fun x -> x * x) = [ (1, 1); (2, 4) ])
+  checkb "run_supervised labels" true
+    (Sweep.run_supervised ~seed:0 ~task_id:string_of_int [ 1; 2 ]
+       ~f:(fun _ctx _g x -> x * x)
+    = [
+        (1, Ccache_util.Supervisor.Completed 1);
+        (2, Ccache_util.Supervisor.Completed 4);
+      ])
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 

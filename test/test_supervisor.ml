@@ -380,7 +380,7 @@ let test_resume_j8_chaos () = kill_resume_roundtrip ~width:8 ~with_chaos:true ()
 let test_suite_kill_resume () =
   let specs = List.filteri (fun i _ -> i < 3) A.Suite.all in
   let size = A.Experiment.Quick in
-  let baseline = A.Report.run_suite ~size specs in
+  let baseline = (A.Report.run_suite ~size specs).report in
   let path = tmp_path () in
   Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
   let fingerprint = A.Report.fingerprint ~fmt:A.Report.Text ~size specs in
@@ -388,8 +388,7 @@ let test_suite_kill_resume () =
   let ck = Ck.create ~path ~fingerprint () in
   let fault = Fault.kill Fault.none [ victim ] in
   let partial =
-    A.Report.run_suite_supervised ~policy:fast_policy ~fault ~checkpoint:ck
-      ~size specs
+    A.Report.run_suite ~policy:fast_policy ~fault ~checkpoint:ck ~size specs
   in
   checki "one experiment quarantined" 1 (List.length partial.A.Report.failures);
   checks "the right one" victim
@@ -399,8 +398,8 @@ let test_suite_kill_resume () =
   | Ok ck2 ->
       let resumed =
         Pool.with_pool ~size:4 (fun pool ->
-            A.Report.run_suite_supervised ~pool ~policy:fast_policy
-              ~checkpoint:ck2 ~size specs)
+            A.Report.run_suite ~pool ~policy:fast_policy ~checkpoint:ck2
+              ~size specs)
       in
       checkb "nothing quarantined on resume" true
         (resumed.A.Report.failures = []);
@@ -442,6 +441,49 @@ let test_derive_stability () =
   let g1 = Prng.derive ~seed:11 ~key:"k" in
   let g2 = Prng.derive ~seed:12 ~key:"k" in
   checkb "seed matters" true (Prng.next_int64 g1 <> Prng.next_int64 g2)
+
+(* ------------------------------------------------------------------ *)
+(* The run flags, as the binaries parse them                          *)
+(* ------------------------------------------------------------------ *)
+
+let bin name = Filename.concat ".." (Filename.concat "bin" name)
+
+let exit_code cmd args =
+  Sys.command (cmd ^ " " ^ args ^ " > /dev/null 2> /dev/null")
+
+(* The three commands share one flag set: a bad supervision value is a
+   usage error (exit 2) on each, never an uncaught exception (125). *)
+let test_bad_run_flags () =
+  let commands =
+    [
+      ("experiments", Filename.quote (bin "experiments.exe") ^ " --quick e1");
+      ( "sweep",
+        Filename.quote (bin "ccache_cli.exe") ^ " sweep --k-max 16 --length 100"
+      );
+      ("serve", Filename.quote (bin "ccache_cli.exe") ^ " serve --length 100");
+    ]
+  in
+  List.iter
+    (fun (name, cmd) ->
+      List.iter
+        (fun flag ->
+          checki (Printf.sprintf "%s %s exits 2" name flag) 2 (exit_code cmd flag))
+        [
+          "--timeout=-1";
+          "--timeout=nan";
+          "--backoff=-1";
+          "--backoff=inf";
+          "--retries=-1";
+          "--jobs=-1";
+          "--chaos=bogus";
+          "--resume";
+        ];
+      (* no command takes --jitter: cmdliner's usage error *)
+      checki (name ^ " --jitter=2 is unknown") 124 (exit_code cmd "--jitter=2"))
+    commands;
+  let serve = List.assoc "serve" commands in
+  checki "serve --route bogus" 124 (exit_code serve "--route bogus");
+  checki "serve --overload bogus" 124 (exit_code serve "--overload bogus")
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                              *)
@@ -506,4 +548,5 @@ let () =
       ("resume-qcheck", qsuite [ resume_subset_test ]);
       ( "prng",
         [ Alcotest.test_case "derive stability" `Quick test_derive_stability ] );
+      ("cli", [ Alcotest.test_case "bad run flags exit 2" `Quick test_bad_run_flags ]);
     ]
