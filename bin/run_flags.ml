@@ -203,7 +203,8 @@ let term =
             "Inject a permanent crash into the task with id $(docv): an \
              experiment ('e2'), a sweep cell ('lru/k=64') or a shard \
              ('shard/1'); repeatable.  The task is quarantined, the rest \
-             completes, and the exit code is 3.")
+             completes, and the exit code is 3.  An $(docv) that names \
+             no task of the run is a usage error (exit 2).")
   in
   let checkpoint =
     Arg.(
@@ -238,12 +239,17 @@ let checkpoint t ~fingerprint =
   | Some path -> Some (U.Checkpoint.create ~path ~fingerprint ())
 
 (** [f None] at [--jobs 1], else [f (Some pool)] on a pool that is
-    joined before this returns. *)
+    joined before this returns.  A [--kill] id that names no task of
+    the run is a usage error, raised by the supervisor before any task
+    runs. *)
 let with_pool t f =
-  if t.jobs = 1 then f None
-  else
-    let size = if t.jobs = 0 then None else Some t.jobs in
-    U.Domain_pool.with_pool ?size (fun pool -> f (Some pool))
+  try
+    if t.jobs = 1 then f None
+    else
+      let size = if t.jobs = 0 then None else Some t.jobs in
+      U.Domain_pool.with_pool ?size (fun pool -> f (Some pool))
+  with U.Supervisor.Unknown_kill id ->
+    usage_error "--kill %s: no task has this id" id
 
 let on_event = function
   | U.Supervisor.Retrying { task; attempt; delay_s; error } ->

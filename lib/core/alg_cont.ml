@@ -1,9 +1,12 @@
 (** ALG-CONT (paper Figure 2): the continuous primal-dual algorithm,
     instrumented with its dual variables.
 
-    The eviction decisions are exactly those of ALG-DISCRETE (both are
-    driven by {!Budget_state}); what this runner adds is the
-    bookkeeping the correctness proof reads:
+    The eviction decisions are exactly those of ALG-DISCRETE: the run
+    is a {!Budget_state}-backed policy stepped through
+    {!Ccache_sim.Engine.Step}, so the cache set, the miss counts, the
+    engine's victim checks and the terminal flush are the engine's
+    own.  What the policy adds is the bookkeeping the correctness
+    proof reads:
 
     - [y.(t)]   — the amount the dual variable [y_t] increases at step
       [t] (zero unless an eviction happens; otherwise the victim's
@@ -21,6 +24,8 @@
     (and this is itself one of the checked identities). *)
 
 module Cf = Ccache_cost.Cost_function
+module Engine = Ccache_sim.Engine
+module Policy = Ccache_sim.Policy
 open Ccache_trace
 
 type interval = {
@@ -54,78 +59,57 @@ type run = {
            the invariant checker handles both accountings). *)
 let run ?(mode = Cf.Discrete) ?(flush = false) ~k ~costs trace =
   if k <= 0 then invalid_arg "Alg_cont.run: k must be positive";
-  let real_users = Trace.n_users trace in
-  if Array.length costs <> real_users then
+  let n_users = Trace.n_users trace in
+  if Array.length costs <> n_users then
     invalid_arg "Alg_cont.run: costs/users mismatch";
-  let n = Trace.length trace in
-  let st = Budget_state.create ~costs ~mode ~n_users:(Trace.n_users trace) in
-  let y = Array.make (n + if flush then k else 0) 0.0 in
+  let st = Budget_state.create ~costs ~mode ~n_users () in
+  let y = Array.make (Trace.length trace + if flush then k else 0) 0.0 in
   let current : interval Page.Tbl.t = Page.Tbl.create 256 in
   let all = ref [] in
-  let cached : unit Page.Tbl.t = Page.Tbl.create 256 in
-  let misses = Array.make (Trace.n_users trace) 0 in
-  for pos = 0 to n - 1 do
-    let p = Trace.request trace pos in
-    (* the previous interval of p (if any) ends here; a new one opens *)
+  (* every request of [page] ends its previous interval and opens the
+     next, hit or miss *)
+  let access ~pos page =
     let j =
-      match Page.Tbl.find_opt current p with
+      match Page.Tbl.find_opt current page with
       | Some iv ->
           iv.end_pos <- Some pos;
           iv.j + 1
       | None -> 1
     in
     let iv =
-      { page = p; j; start_pos = pos; end_pos = None; x = false;
+      { page; j; start_pos = pos; end_pos = None; x = false;
         evict_pos = None; m_at_evict = None }
     in
-    Page.Tbl.replace current p iv;
+    Page.Tbl.replace current page iv;
     all := iv :: !all;
-    if not (Page.Tbl.mem cached p) then begin
-      misses.(Page.user p) <- misses.(Page.user p) + 1;
-      if Page.Tbl.length cached >= k then begin
-        let victim, _ = Budget_state.min_budget st in
-        let victim_iv =
-          match Page.Tbl.find_opt current victim with
-          | Some iv -> iv
-          | None -> assert false (* cached pages always have an open interval *)
-        in
-        let delta = Budget_state.evict st victim in
-        y.(pos) <- delta;
-        victim_iv.x <- true;
-        victim_iv.evict_pos <- Some pos;
-        victim_iv.m_at_evict <- Some (Budget_state.evictions st (Page.user victim));
-        Page.Tbl.remove cached victim
-      end;
-      Page.Tbl.replace cached p ();
-      Budget_state.touch st p
-    end
-    else Budget_state.touch st p
-  done;
-  (* Terminal flush (paper Section 2.1): k requests by an infinite-cost
-     dummy user, realised as pinned non-insertions — each one evicts
-     the minimum-budget real page, closing its last interval with an
-     eviction so the (ICP) accounting (evictions = misses) holds. *)
-  if flush then
-    for step = 0 to k - 1 do
-      if Page.Tbl.length cached > 0 then begin
-        let pos = n + step in
-        let victim, _ = Budget_state.min_budget st in
-        let victim_iv =
-          match Page.Tbl.find_opt current victim with
-          | Some iv -> iv
-          | None -> assert false
-        in
-        let delta = Budget_state.evict st victim in
-        y.(pos) <- delta;
-        victim_iv.x <- true;
-        victim_iv.evict_pos <- Some pos;
-        victim_iv.m_at_evict <- Some (Budget_state.evictions st (Page.user victim));
-        Page.Tbl.remove cached victim
-      end
-    done;
-  let final_m =
-    Array.init (Trace.n_users trace) (fun u -> Budget_state.evictions st u)
+    Budget_state.touch st page
   in
+  (* flush steps land at positions >= length trace, as the engine
+     numbers them *)
+  let evict ~pos victim =
+    y.(pos) <- Budget_state.evict st victim;
+    (* a cached page always has an open interval *)
+    let iv = Page.Tbl.find current victim in
+    iv.x <- true;
+    iv.evict_pos <- Some pos;
+    iv.m_at_evict <- Some (Budget_state.evictions st (Page.user victim))
+  in
+  let policy =
+    Policy.make ~name:"alg-cont" (fun _ ->
+        {
+          Policy.on_hit = access;
+          wants_evict = Policy.never_evict_early;
+          choose_victim =
+            (fun ~pos:_ ~incoming:_ -> fst (Budget_state.min_budget st));
+          on_insert = access;
+          on_evict = evict;
+        })
+  in
+  let engine = Engine.Step.init ~flush ~k ~costs policy trace in
+  for pos = 0 to Engine.Step.length engine - 1 do
+    Engine.Step.step engine pos
+  done;
+  let r = Engine.Step.finish engine in
   {
     trace;
     k;
@@ -133,10 +117,9 @@ let run ?(mode = Cf.Discrete) ?(flush = false) ~k ~costs trace =
     mode;
     y;
     intervals = List.rev !all;
-    final_m;
-    misses_per_user = misses;
-    result_cache =
-      Page.Tbl.fold (fun p () acc -> p :: acc) cached [] |> List.sort Page.compare;
+    final_m = Array.init n_users (Budget_state.evictions st);
+    misses_per_user = r.Engine.misses_per_user;
+    result_cache = r.Engine.final_cache;
   }
 
 (** Prefix sums of [y]: [prefix.(t)] = sum of y over positions [0..t-1],

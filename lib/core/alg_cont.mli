@@ -1,8 +1,10 @@
 (** ALG-CONT (paper Figure 2): the continuous primal-dual algorithm,
     instrumented with its dual variables.
 
-    Decisions are exactly those of ALG-DISCRETE (both run on
-    {!Budget_state}); this runner additionally records what the
+    Decisions are exactly those of ALG-DISCRETE: the run steps a
+    {!Budget_state}-backed policy through {!Ccache_sim.Engine.Step}, so
+    the cache set, miss counts, victim checks and terminal flush are
+    the engine's.  The policy additionally records what the
     correctness proof reads: the per-step dual increases [y], and one
     {!interval} record per (page, request-interval) carrying the
     primal variable x(p,j) and the eviction metadata.  The z(p,j)

@@ -1,67 +1,15 @@
 (** ALG-DISCRETE (paper Figure 3) as an engine policy — the paper's
     primary contribution.
 
-    Reference implementation: O(k) per eviction via a budget sweep.
-    For the O(log k) variant see {!Alg_fast}; equivalence of the two is
-    property-tested.
-
-    The [~bump] and [~subtract] switches disable individual update
-    rules for the ablation experiments (E9 in DESIGN.md):
-
-    - [~bump:false] drops the same-owner marginal increase, severing
-      the coupling between a user's pages;
-    - [~subtract:false] drops the uniform budget decay, reducing the
-      policy to greedy minimum-marginal-cost eviction (no recency
-      component at all).
-
-    Both switches default to [true] = the paper's algorithm. *)
+    Reference implementation: O(k) per eviction via the budget sweep of
+    {!Budget_state}.  For the O(log k) variant see {!Alg_fast};
+    equivalence of the two is property-tested.  The ablation switches
+    of experiment E9 are {!Budget_state}'s; both on is the paper's
+    algorithm. *)
 
 module Policy = Ccache_sim.Policy
 module Cf = Ccache_cost.Cost_function
 open Ccache_trace
-
-type variant = {
-  mode : Cf.derivative_mode;
-  bump : bool;
-  subtract : bool;
-}
-
-let default_variant = { mode = Cf.Discrete; bump = true; subtract = true }
-
-let variant_name { mode; bump; subtract } =
-  let base = "alg-discrete" in
-  let parts =
-    (match mode with Cf.Analytic -> [ "analytic" ] | Cf.Discrete -> [])
-    @ (if bump then [] else [ "nobump" ])
-    @ if subtract then [] else [ "nosubtract" ]
-  in
-  match parts with [] -> base | _ -> base ^ "[" ^ String.concat "," parts ^ "]"
-
-(* A variant-aware clone of Budget_state.evict: the shared module
-   implements the paper's rules; ablations re-derive the update here. *)
-let ablated_evict (st : Budget_state.t) ~bump ~subtract victim =
-  let delta =
-    match Budget_state.budget st victim with
-    | Some b -> b
-    | None -> invalid_arg "alg-discrete: victim not cached"
-  in
-  let owner = Page.user victim in
-  let bump_amount =
-    if bump then
-      Budget_state.rate st owner ~offset:2 -. Budget_state.rate st owner ~offset:1
-    else 0.0
-  in
-  Page.Tbl.remove st.Budget_state.b victim;
-  let slot = Stdlib.min owner (Array.length st.Budget_state.m - 1) in
-  st.Budget_state.m.(slot) <- st.Budget_state.m.(slot) + 1;
-  (* in-place sweep, mirroring Budget_state.evict: no intermediate
-     O(k) update list per eviction *)
-  Page.Tbl.filter_map_inplace
-    (fun page b ->
-      let b = if subtract then b -. delta else b in
-      Some (if Page.user page = owner then b +. bump_amount else b))
-    st.Budget_state.b;
-  delta
 
 (* Candidate-set buckets: occupancy at an eviction is bounded by k. *)
 let candidate_bounds =
@@ -91,11 +39,11 @@ let record_evict ~name ~pos ~candidates ~bumped victim delta =
       ]
     (name ^ "/evict")
 
-let make_variant variant =
-  Policy.make ~name:(variant_name variant) (fun config ->
+let make ?(mode = Cf.Discrete) ?(bump = true) ?(subtract = true) name =
+  Policy.make ~name (fun config ->
       let st =
-        Budget_state.create ~costs:config.Policy.Config.costs ~mode:variant.mode
-          ~n_users:config.Policy.Config.n_users
+        Budget_state.create ~bump ~subtract ~costs:config.Policy.Config.costs
+          ~mode ~n_users:config.Policy.Config.n_users ()
       in
       {
         Policy.on_hit = (fun ~pos:_ page -> Budget_state.touch st page);
@@ -109,28 +57,19 @@ let make_variant variant =
             (* candidate set = cached pages at decision time (the
                victim is still in the budget table here) *)
             let candidates = if obs then Budget_state.cached_count st else 0 in
-            let delta =
-              if variant.bump && variant.subtract then
-                Budget_state.evict st victim
-              else
-                ablated_evict st ~bump:variant.bump ~subtract:variant.subtract
-                  victim
-            in
+            let delta = Budget_state.evict st victim in
             if obs then
-              record_evict ~name:(variant_name variant) ~pos ~candidates
-                ~bumped:variant.bump victim delta);
+              record_evict ~name ~pos ~candidates ~bumped:bump victim delta);
       })
 
 (** The paper's algorithm with discrete marginals (Section 2.5). *)
-let policy = make_variant default_variant
+let policy = make "alg-discrete"
 
 (** The paper's algorithm with analytic derivatives f'. *)
-let analytic = make_variant { default_variant with mode = Cf.Analytic }
+let analytic = make ~mode:Cf.Analytic "alg-discrete[analytic]"
 
 (** Ablation: no same-owner marginal bump. *)
-let no_bump = make_variant { default_variant with bump = false }
+let no_bump = make ~bump:false "alg-discrete[nobump]"
 
 (** Ablation: no uniform budget decay (greedy marginal-cost eviction). *)
-let no_subtract = make_variant { default_variant with subtract = false }
-
-let make ?(mode = Cf.Discrete) () = make_variant { default_variant with mode }
+let no_subtract = make ~subtract:false "alg-discrete[nosubtract]"

@@ -16,7 +16,6 @@
 
 module Policy = Ccache_sim.Policy
 module Cf = Ccache_cost.Cost_function
-open Ccache_trace
 
 let make ?(mode = Cf.Discrete) ~window () =
   if window <= 0 then invalid_arg "Alg_windowed.make: window must be positive";
@@ -25,7 +24,7 @@ let make ?(mode = Cf.Discrete) ~window () =
     (fun config ->
       let st =
         Budget_state.create ~costs:config.Policy.Config.costs ~mode
-          ~n_users:config.Policy.Config.n_users
+          ~n_users:config.Policy.Config.n_users ()
       in
       let current_window = ref 0 in
       let roll ~pos =
@@ -33,11 +32,7 @@ let make ?(mode = Cf.Discrete) ~window () =
         if w > !current_window then begin
           current_window := w;
           (* new window: miss counts restart, so marginals do too *)
-          Array.fill st.Budget_state.m 0 (Array.length st.Budget_state.m) 0;
-          let pages =
-            Page.Tbl.fold (fun p _ acc -> p :: acc) st.Budget_state.b []
-          in
-          List.iter (Budget_state.touch st) pages
+          Budget_state.restart st
         end
       in
       {

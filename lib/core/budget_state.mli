@@ -1,7 +1,8 @@
 (** The budget state machine of ALG-DISCRETE (paper Figure 3).
 
-    Shared by the {!Alg_discrete} policy and the dual-instrumented
-    {!Alg_cont} runner so both provably make identical decisions.
+    Shared by the {!Alg_discrete} and {!Alg_windowed} policies and the
+    dual-instrumented {!Alg_cont} runner so all of them provably make
+    identical decisions.
 
     State: a budget [B(p)] for every cached page and the per-user
     eviction counts [m(i,t)].  [B(p)] equals the residual of the
@@ -9,31 +10,25 @@
     [f'_{i(p)}(m(i(p)) + 1) - sum of y_t over the interval so far]
     (the [z] term is zero for cached pages).
 
-    The record fields are exposed (not abstract) because the ablation
-    variants in {!Alg_discrete} re-derive modified update rules over
-    the same state. *)
+    The two ablation switches of experiment E9 live here too, so every
+    variant runs the one update rule:
+
+    - [~bump:false] drops the same-owner marginal increase;
+    - [~subtract:false] drops the uniform budget decay. *)
 
 open Ccache_trace
 
-type t = {
-  costs : Ccache_cost.Cost_function.t array;
-  mode : Ccache_cost.Cost_function.derivative_mode;
-  b : float Page.Tbl.t;  (** budgets of currently cached pages *)
-  m : int array;  (** evictions per user, one slot per user + dummy *)
-}
+type t
 
 val create :
+  ?bump:bool ->
+  ?subtract:bool ->
   costs:Ccache_cost.Cost_function.t array ->
   mode:Ccache_cost.Cost_function.derivative_mode ->
   n_users:int ->
+  unit ->
   t
-
-val cost_of : t -> int -> Ccache_cost.Cost_function.t
-(** User's cost function; the zero cost for out-of-range users. *)
-
-val rate : t -> int -> offset:int -> float
-(** [rate t user ~offset] = f'_user evaluated at m(user) + offset
-    (discrete marginal in [Discrete] mode). *)
+(** Both switches default to [true] = the paper's algorithm. *)
 
 val evictions : t -> int -> int
 (** m(user): evictions of the user's pages so far. *)
@@ -53,9 +48,10 @@ val evict : t -> Page.t -> float
 (** Full Figure-3 eviction update: removes the victim, bumps the
     owner's eviction count, subtracts the victim's budget [delta] from
     every remaining budget and adds [f'(m+2) - f'(m+1)] to the owner's
-    remaining pages.  Returns [delta] (the ALG-CONT [y_t] increase).
+    remaining pages (each step unless switched off).  Returns [delta]
+    (the ALG-CONT [y_t] increase).
     @raise Invalid_argument if the victim is not cached. *)
 
-val budgets : t -> (Page.t * float) list
-(** All budgets, sorted by page (for tests and the fast-implementation
-    equivalence property). *)
+val restart : t -> unit
+(** Window restart: every eviction count drops to zero and every cached
+    page is {!touch}ed again, keeping the cache contents. *)

@@ -4,14 +4,17 @@
     warm-up that fills the cache with pages 0..n-2, every step requests
     exactly the page missing from the online algorithm's cache, forcing
     an eviction per step.  The request sequence depends on the
-    algorithm, so the adversary co-simulates: it owns the cache model
-    (mirroring {!Ccache_sim.Engine}'s bookkeeping) and drives the
-    policy's handlers directly.
+    algorithm, so it is built while the run goes: each request is fed
+    to an {!Ccache_sim.Engine.Step} state (over an empty trace), and
+    the engine's decision events tell the adversary which page is
+    missing next.  Cache set, miss and eviction counts and the victim
+    checks are the engine's.
 
     Returns both the induced trace — a perfectly ordinary trace that
     offline comparators can then be run on — and the online
     algorithm's per-user miss counts. *)
 
+module Engine = Ccache_sim.Engine
 module Policy = Ccache_sim.Policy
 open Ccache_trace
 
@@ -31,54 +34,44 @@ let drive ~n_users ~steps ~costs policy =
   if n_users < 2 then invalid_arg "Adversary.drive: need at least 2 users";
   if Array.length costs <> n_users then
     invalid_arg "Adversary.drive: costs/users mismatch";
-  let k = n_users - 1 in
-  let config = Policy.Config.make ~k ~costs () in
   if Policy.needs_future policy then
     invalid_arg "Adversary.drive: offline policies cannot be driven adaptively";
-  let h = Policy.instantiate policy config in
+  let k = n_users - 1 in
+  (* user u's one page is cached iff cached.(u) *)
   let cached = Array.make n_users false in
-  let cached_count = ref 0 in
-  let misses = Array.make n_users 0 in
-  let evictions = Array.make n_users 0 in
+  let on_event = function
+    | Engine.Hit _ -> ()
+    | Engine.Miss_insert { page; _ } -> cached.(Page.user page) <- true
+    | Engine.Miss_evict { page; victim; _ } ->
+        cached.(Page.user victim) <- false;
+        cached.(Page.user page) <- true
+  in
+  let engine =
+    Engine.Step.init ~on_event ~k ~costs policy (Trace.of_list ~n_users [])
+  in
   let requests = ref [] in
-  let page_of u = Page.make ~user:u ~id:0 in
-  let request pos u =
-    requests := page_of u :: !requests;
-    if cached.(u) then h.Policy.on_hit ~pos (page_of u)
-    else begin
-      misses.(u) <- misses.(u) + 1;
-      if !cached_count >= k then begin
-        let victim = h.Policy.choose_victim ~pos ~incoming:(page_of u) in
-        let v = Page.user victim in
-        if not cached.(v) then
-          invalid_arg
-            (Policy.name policy ^ ": adversary saw eviction of uncached page");
-        cached.(v) <- false;
-        decr cached_count;
-        evictions.(v) <- evictions.(v) + 1;
-        h.Policy.on_evict ~pos victim
-      end;
-      cached.(u) <- true;
-      incr cached_count;
-      h.Policy.on_insert ~pos (page_of u)
-    end
+  let request u =
+    let page = Page.make ~user:u ~id:0 in
+    requests := page :: !requests;
+    Engine.Step.feed engine page
   in
   (* warm-up: fill the cache with users 0..k-1 *)
   for u = 0 to k - 1 do
-    request u u
+    request u
   done;
-  (* adversarial phase: request the unique missing page *)
-  for step = 0 to steps - 1 do
-    let missing = ref (-1) in
-    for u = n_users - 1 downto 0 do
-      if not cached.(u) then missing := u
+  (* adversarial phase: the engine keeps at most k = n-1 pages, so one
+     user's page is always missing; request the lowest such user *)
+  for _ = 1 to steps do
+    let missing = ref 0 in
+    while cached.(!missing) do
+      incr missing
     done;
-    if !missing < 0 then invalid_arg "Adversary.drive: no missing page (k >= n?)";
-    request (k + step) !missing
+    request !missing
   done;
+  let r = Engine.Step.finish engine in
   {
     trace = Trace.of_list ~n_users (List.rev !requests);
-    online_misses = misses;
-    online_evictions = evictions;
+    online_misses = r.Engine.misses_per_user;
+    online_evictions = r.Engine.evictions_per_user;
     k;
   }

@@ -3,8 +3,9 @@
     Instance: n users, one page each, cache k = n - 1.  After filling
     the cache with pages 0..n-2, every step requests exactly the page
     missing from the online algorithm's cache.  The sequence depends
-    on the algorithm, so the adversary co-simulates (it cannot use the
-    engine, whose traces are fixed up front). *)
+    on the algorithm, so the adversary feeds it request by request to
+    the engine ({!Ccache_sim.Engine.Step.feed}), whose cache set and
+    accounting it reads back. *)
 
 type outcome = {
   trace : Ccache_trace.Trace.t;

@@ -9,7 +9,16 @@
     least-pressured pool, guarded by: a cooldown, a 3x pool-pressure
     hysteresis, a stability condition (the move must not just flip the
     imbalance), and an economics test (amortised expected gain must
-    exceed switching plus estimated re-warm cost). *)
+    exceed switching plus estimated re-warm cost).
+
+    A migration drops the tenant's pages from its old pool one
+    [on_evict] at a time, in [Page.Tbl] bucket order.  For a policy
+    whose eviction update depends on earlier evictions (ALG-DISCRETE
+    subtracts each victim's budget from every page left), the budgets
+    of the surviving pages, and so later victims, depend on that
+    order.  This is why the pools keep their own replay loop instead
+    of stepping {!Ccache_sim.Engine.Step}, whose cache set would
+    iterate in a different order. *)
 
 type strategy =
   | Static_round_robin

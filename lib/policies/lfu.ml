@@ -4,22 +4,18 @@
     broken deterministically by interner id (i.e. first-touch order). *)
 
 module Policy = Ccache_sim.Policy
-
-
 module Heap = Ccache_util.Indexed_heap
 
 let policy =
   Policy.make ~name:"lfu" (fun _config ->
       let interner = Interner.create () in
       let heap = Heap.create () in
-      let freq : (int, int) Hashtbl.t = Hashtbl.create 256 in
       {
         Policy.on_hit =
           (fun ~pos:_ page ->
+            (* the heap priority is the in-cache request count *)
             let key = Interner.intern interner page in
-            let f = Option.value (Hashtbl.find_opt freq key) ~default:0 + 1 in
-            Hashtbl.replace freq key f;
-            Heap.update heap ~key ~prio:(float_of_int f));
+            Heap.update heap ~key ~prio:(Heap.priority heap key +. 1.0));
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
@@ -28,11 +24,8 @@ let policy =
         on_insert =
           (fun ~pos:_ page ->
             let key = Interner.intern interner page in
-            Hashtbl.replace freq key 1;
             Heap.add heap ~key ~prio:1.0);
         on_evict =
           (fun ~pos:_ page ->
-            let key = Interner.intern interner page in
-            Hashtbl.remove freq key;
-            Heap.remove heap key);
+            Heap.remove heap (Interner.intern interner page));
       })

@@ -4,6 +4,7 @@
     why determinism survives retries. *)
 
 exception Timed_out of { task : string; elapsed_s : float }
+exception Unknown_kill of string
 
 (* Deadlines are genuine wall-clock state, but the *read* still goes
    through the quarantined capability so the no-wall-clock lint rule
@@ -143,19 +144,25 @@ let retryable = function
 (* The runner                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let check_distinct_ids tasks =
+(* Task ids must be distinct, and every id the fault plan kills must
+   name one of them: a mistyped kill would otherwise turn a quarantine
+   run into a clean one without a word. *)
+let check_ids fault tasks =
   let seen = Hashtbl.create (List.length tasks) in
   List.iter
     (fun t ->
       if Hashtbl.mem seen t.id then
         invalid_arg (Printf.sprintf "Supervisor.run: duplicate task id %S" t.id);
       Hashtbl.replace seen t.id ())
-    tasks
+    tasks;
+  List.iter
+    (fun id -> if not (Hashtbl.mem seen id) then raise (Unknown_kill id))
+    (Fault.killed fault)
 
 let run ?pool ?(policy = default_policy) ?(fault = Fault.none) ?checkpoint
     ?codec ?on_event tasks =
   validate_policy policy;
-  check_distinct_ids tasks;
+  check_ids fault tasks;
   (match (checkpoint, codec) with
   | Some _, None ->
       invalid_arg "Supervisor.run: ?checkpoint requires a ?codec to replay"

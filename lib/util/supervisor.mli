@@ -40,6 +40,10 @@ exception Timed_out of { task : string; elapsed_s : float }
 (** Raised by {!check} (and at the closing task boundary) once the
     attempt's deadline has passed.  Retryable. *)
 
+exception Unknown_kill of string
+(** Raised by {!run}, before any task runs, when the fault plan kills
+    a task id that names none of the run's tasks. *)
+
 type policy = {
   max_retries : int;  (** extra attempts after the first (>= 0) *)
   timeout_s : float option;  (** per-attempt cooperative deadline *)
@@ -129,4 +133,5 @@ val run :
     are serialised under a mutex but may fire from worker domains —
     don't print to stdout from them (stderr is fine).
     @raise Invalid_argument on duplicate task ids, a [?checkpoint]
-    without [?codec], or a malformed policy. *)
+    without [?codec], or a malformed policy.
+    @raise Unknown_kill if [?fault] kills an id no task has. *)

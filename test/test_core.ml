@@ -41,7 +41,7 @@ let random_trace ~seed ~users ~pages ~len =
 let test_budget_touch_and_min () =
   (* user 0: x^2 (discrete marginal at m=0 is f(1)-f(0)=1);
      user 1: 3x (marginal 3) *)
-  let st = Bs.create ~costs:(int_costs 2) ~mode:Cf.Discrete ~n_users:2 in
+  let st = Bs.create ~costs:(int_costs 2) ~mode:Cf.Discrete ~n_users:2 () in
   Bs.touch st (p 0 0);
   Bs.touch st (p 1 0);
   checkb "B(a) = 1" true (Bs.budget st (p 0 0) = Some 1.0);
@@ -55,7 +55,7 @@ let test_budget_evict_updates () =
   (* cache: a0 (user0, x^2), b0 (user0), c1 (user1, 3x).
      Evict a0 (B=1): delta=1, user0 bump = marginal(2)-marginal(1) = 3-1 = 2.
      b0: 1 - 1 + 2 = 2.  c1: 3 - 1 = 2. *)
-  let st = Bs.create ~costs:(int_costs 2) ~mode:Cf.Discrete ~n_users:2 in
+  let st = Bs.create ~costs:(int_costs 2) ~mode:Cf.Discrete ~n_users:2 () in
   Bs.touch st (p 0 0);
   Bs.touch st (p 0 1);
   Bs.touch st (p 1 0);
@@ -69,21 +69,47 @@ let test_budget_evict_updates () =
   Bs.touch st (p 0 2);
   checkb "fresh budget at new marginal" true (Bs.budget st (p 0 2) = Some 3.0)
 
+(* The eviction above (a0, b0 of user 0 and c1 of user 1 cached; a0
+   with B=1 evicted) with each E9 ablation switch off, then a window
+   restart. *)
+let test_budget_ablations_and_restart () =
+  let evicted ?bump ?subtract () =
+    let st =
+      Bs.create ?bump ?subtract ~costs:(int_costs 2) ~mode:Cf.Discrete
+        ~n_users:2 ()
+    in
+    List.iter (Bs.touch st) [ p 0 0; p 0 1; p 1 0 ];
+    checkf "delta" 1.0 (Bs.evict st (p 0 0));
+    st
+  in
+  let nobump = evicted ~bump:false () in
+  checkb "no bump: b0 only decays" true (Bs.budget nobump (p 0 1) = Some 0.0);
+  checkb "no bump: c1 decays" true (Bs.budget nobump (p 1 0) = Some 2.0);
+  let nosub = evicted ~subtract:false () in
+  checkb "no subtract: b0 only bumped" true (Bs.budget nosub (p 0 1) = Some 3.0);
+  checkb "no subtract: c1 kept" true (Bs.budget nosub (p 1 0) = Some 3.0);
+  let st = evicted () in
+  Bs.restart st;
+  checki "restart zeroes m" 0 (Bs.evictions st 0);
+  checkb "b0 back at f'(1)" true (Bs.budget st (p 0 1) = Some 1.0);
+  checkb "c1 back at f'(1)" true (Bs.budget st (p 1 0) = Some 3.0);
+  checki "contents kept" 2 (Bs.cached_count st)
+
 let test_budget_min_tie_break () =
-  let st = Bs.create ~costs:(int_costs 2) ~mode:Cf.Discrete ~n_users:2 in
+  let st = Bs.create ~costs:(int_costs 2) ~mode:Cf.Discrete ~n_users:2 () in
   Bs.touch st (p 0 5);
   Bs.touch st (p 0 2);
   (* equal budgets: smaller page id wins *)
   checkb "tie by page order" true (Page.equal (fst (Bs.min_budget st)) (p 0 2))
 
 let test_budget_analytic_mode () =
-  let st = Bs.create ~costs:(int_costs 1) ~mode:Cf.Analytic ~n_users:1 in
+  let st = Bs.create ~costs:(int_costs 1) ~mode:Cf.Analytic ~n_users:1 () in
   Bs.touch st (p 0 0);
   (* f = x^2, analytic f'(m+1) = f'(1) = 2 *)
   checkb "analytic rate" true (Bs.budget st (p 0 0) = Some 2.0)
 
 let test_budget_errors () =
-  let st = Bs.create ~costs:(int_costs 1) ~mode:Cf.Discrete ~n_users:1 in
+  let st = Bs.create ~costs:(int_costs 1) ~mode:Cf.Discrete ~n_users:1 () in
   Alcotest.check_raises "empty min"
     (Invalid_argument "Budget_state.min_budget: empty cache") (fun () ->
       ignore (Bs.min_budget st));
@@ -193,16 +219,18 @@ let fast_equals_reference_flush =
       let b = Engine.run ~flush:true ~k ~costs Fast.policy t in
       a.Engine.evictions_per_user = b.Engine.evictions_per_user)
 
-(* ALG-CONT makes the same decisions as the engine-driven policy *)
+(* ALG-CONT makes the same decisions as the engine-driven policy, with
+   and without the terminal flush *)
 let cont_equals_discrete =
   QCheck.Test.make ~name:"alg-cont mirrors alg-discrete" ~count:40
-    QCheck.(triple (int_range 1 16) (int_range 1 3) small_nat)
-    (fun (k, users, seed) ->
+    QCheck.(quad (int_range 1 16) (int_range 1 3) small_nat bool)
+    (fun (k, users, seed, flush) ->
       let costs = int_costs users in
       let t = random_trace ~seed:(seed + 7) ~users ~pages:18 ~len:300 in
-      let r = Engine.run ~k ~costs Alg.policy t in
-      let c = Cont.run ~flush:false ~k ~costs t in
+      let r = Engine.run ~flush ~k ~costs Alg.policy t in
+      let c = Cont.run ~flush ~k ~costs t in
       r.Engine.misses_per_user = c.Cont.misses_per_user
+      && r.Engine.evictions_per_user = c.Cont.final_m
       && r.Engine.final_cache = c.Cont.result_cache)
 
 (* ------------------------------------------------------------------ *)
@@ -488,6 +516,8 @@ let () =
         [
           Alcotest.test_case "touch/min" `Quick test_budget_touch_and_min;
           Alcotest.test_case "evict updates" `Quick test_budget_evict_updates;
+          Alcotest.test_case "ablations and restart" `Quick
+            test_budget_ablations_and_restart;
           Alcotest.test_case "tie break" `Quick test_budget_min_tie_break;
           Alcotest.test_case "analytic mode" `Quick test_budget_analytic_mode;
           Alcotest.test_case "errors" `Quick test_budget_errors;

@@ -56,6 +56,25 @@ let test_adversary_validation () =
     (Invalid_argument "Adversary.drive: need at least 2 users") (fun () ->
       ignore (Adv.drive ~n_users:1 ~steps:10 ~costs Ccache_policies.Lru.policy))
 
+(* The adversary's counts are what a plain engine replay of the trace
+   it induced gives: the adaptive run and the fixed-trace run make the
+   same decisions, for every online policy. *)
+let adversary_matches_engine =
+  QCheck.Test.make ~name:"adversary counts = engine replay" ~count:20
+    QCheck.(triple (int_range 2 12) (int_range 0 80) bool)
+    (fun (n, steps, quadratic) ->
+      let costs = mono_costs ~beta:(if quadratic then 2.0 else 1.0) n in
+      List.for_all
+        (fun policy ->
+          let adv = Adv.drive ~n_users:n ~steps ~costs policy in
+          let r =
+            Ccache_sim.Engine.run ~k:adv.Adv.k ~costs policy adv.Adv.trace
+          in
+          r.Ccache_sim.Engine.misses_per_user = adv.Adv.online_misses
+          && r.Ccache_sim.Engine.evictions_per_user = adv.Adv.online_evictions)
+        (Ccache_policies.Registry.online
+        @ [ Ccache_core.Alg_discrete.policy; Ccache_core.Alg_fast.policy ]))
+
 let test_theorem4_ratio_exceeds_one () =
   let point = T4.measure ~steps_per_user:100 ~n_users:8 ~beta:2.0 Ccache_policies.Lru.policy in
   checkb "online pricier than offline" true (point.T4.ratio > 1.0);
@@ -108,6 +127,7 @@ let () =
           Alcotest.test_case "forces all policies" `Quick test_adversary_forces_all_policies;
           Alcotest.test_case "rejects offline" `Quick test_adversary_rejects_offline;
           Alcotest.test_case "validation" `Quick test_adversary_validation;
+          QCheck_alcotest.to_alcotest ~long:false adversary_matches_engine;
         ] );
       ( "theorem4",
         [

@@ -229,6 +229,16 @@ let test_duplicate_ids_rejected () =
   | _ -> Alcotest.fail "duplicate ids must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* a kill aimed at no task is rejected before any task runs *)
+let test_unknown_kill_rejected () =
+  let ran = ref false in
+  let fault = Fault.kill Fault.none [ "a"; "ghost" ] in
+  match S.run ~fault [ task "a" (fun () -> ran := true; 1) ] with
+  | _ -> Alcotest.fail "an unknown kill id must be rejected"
+  | exception S.Unknown_kill id ->
+      Alcotest.(check string) "names the id" "ghost" id;
+      checkb "no task ran" false !ran
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -477,6 +487,7 @@ let test_bad_run_flags () =
           "--jobs=-1";
           "--chaos=bogus";
           "--resume";
+          "--kill nope";
         ];
       (* no command takes --jitter: cmdliner's usage error *)
       checki (name ^ " --jitter=2 is unknown") 124 (exit_code cmd "--jitter=2"))
@@ -522,6 +533,7 @@ let () =
           Alcotest.test_case "closing boundary timeout" `Quick
             test_timeout_closing_boundary;
           Alcotest.test_case "duplicate ids" `Quick test_duplicate_ids_rejected;
+          Alcotest.test_case "unknown kill id" `Quick test_unknown_kill_rejected;
         ] );
       ( "checkpoint",
         [
